@@ -4,7 +4,8 @@
 //! `G2 = COUNT(id)`), `H1` is a parameter cell that queries read through
 //! `RANGEVALUE`, and `SUM`s over 100 bound rows are typed into `K` during
 //! the run. Exec, planner and bind do the work, with a working set that fits
-//! the buffer pool, and writes run beside reads.
+//! the buffer pool, and writes run beside reads. Positional inserts go to a
+//! small unbound `notes` table, so they stay light beside that work.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -34,6 +35,7 @@ const RANGE_SPAN: i64 = 2000;
 pub struct Size {
     orders: i64,
     customers: i64,
+    notes: i64,
 }
 
 pub fn size(small: bool) -> Size {
@@ -41,11 +43,13 @@ pub fn size(small: bool) -> Size {
         Size {
             orders: 2_000,
             customers: 200,
+            notes: 50,
         }
     } else {
         Size {
             orders: 20_000,
             customers: 2_000,
+            notes: 500,
         }
     }
 }
@@ -60,6 +64,10 @@ fn order_values(id: i64, o: Order) -> Vec<Value> {
         Value::Int(o.1),
         Value::Float(o.2 as f64 / 4.0),
     ]
+}
+
+fn note_values(id: i64) -> Vec<Value> {
+    vec![Value::Int(id), Value::text(format!("note{id}"))]
 }
 
 fn random_order(rng: &mut Rng, customers: i64) -> Order {
@@ -105,11 +113,10 @@ pub enum Op {
     Scroll {
         top: u32,
     },
-    /// `insert_tuple_at` on the bound table.
+    /// `insert_tuple_at` on `notes`.
     InsertRow {
         pos: usize,
         id: i64,
-        order: Order,
     },
 }
 
@@ -123,6 +130,8 @@ pub struct Hybrid {
     param_quarters: i64,
     /// Top display row of the `SUM` typed into each `K` cell.
     formulas: Vec<Option<u32>>,
+    /// Note ids in display order.
+    notes: Vec<i64>,
 }
 
 impl Hybrid {
@@ -212,6 +221,7 @@ impl Workload for Hybrid {
         let mut wb = Workbook::new();
         wb.execute("CREATE TABLE orders (id INT, cust INT, qty INT, price FLOAT)")?;
         wb.execute("CREATE TABLE customers (cid INT, name TEXT, region TEXT)")?;
+        wb.execute("CREATE TABLE notes (id INT, body TEXT)")?;
         let regions: Vec<usize> = (0..size.customers)
             .map(|_| rng.below(REGIONS.len()))
             .collect();
@@ -224,6 +234,12 @@ impl Workload for Hybrid {
                     Value::text(format!("cust{cid}")),
                     Value::text(REGIONS[*r]),
                 ])?;
+            }
+        }
+        {
+            let mut t = wb.catalog_mut().get_mut("notes")?;
+            for id in 0..size.notes {
+                t.insert(note_values(id))?;
             }
         }
         {
@@ -249,6 +265,7 @@ impl Workload for Hybrid {
             regions,
             param_quarters,
             formulas: vec![None; FORMULA_ROWS as usize],
+            notes: (0..size.notes).collect(),
         })
     }
 
@@ -265,12 +282,13 @@ impl Workload for Hybrid {
                 (Kind::Param, count(1.0, scale)),
                 (Kind::Formula, count(2.0, scale)),
                 (Kind::Scroll, count(20.0, scale)),
-                (Kind::InsertRow, count(7.0, scale)),
+                (Kind::InsertRow, count(10.0, scale)),
             ],
         );
         let mut rng = Rng::derive(seed, "hybrid.ops");
         let mut n = size.orders as usize;
         let mut next_id = size.orders;
+        let mut notes = size.notes as usize;
         let mut queries = 0u8;
         let mut top = 0u32;
         let mut ops = Vec::with_capacity(kinds.len());
@@ -312,12 +330,10 @@ impl Workload for Hybrid {
                     Op::Scroll { top }
                 }
                 Kind::InsertRow => {
-                    next_id += 1;
-                    n += 1;
+                    notes += 1;
                     Op::InsertRow {
-                        pos: rng.below(n),
-                        id: next_id,
-                        order: random_order(&mut rng, size.customers),
+                        pos: rng.below(notes),
+                        id: notes as i64 - 1,
                     }
                 }
                 _ => unreachable!("hybrid schedules no {k:?}"),
@@ -349,9 +365,8 @@ impl Workload for Hybrid {
     fn user_bytes(op: &Op) -> u64 {
         let shown = |vals: Vec<Value>| vals.iter().map(|v| v.display_string().len() as u64).sum();
         match op {
-            Op::SqlInsert { id, order } | Op::InsertRow { id, order, .. } => {
-                shown(order_values(*id, *order))
-            }
+            Op::SqlInsert { id, order } => shown(order_values(*id, *order)),
+            Op::InsertRow { id, .. } => shown(note_values(*id)),
             Op::SqlUpdate { qty, .. } | Op::Edit { qty, .. } => qty.to_string().len() as u64,
             Op::Param { quarters } => shown(vec![Value::Float(*quarters as f64 / 4.0)]),
             Op::Formula { top, .. } => formula_src(*top).len() as u64,
@@ -416,12 +431,6 @@ impl Workload for Hybrid {
             }
             Op::Formula { at, top } => {
                 let src = formula_src(top);
-                if ctx.traced() {
-                    let (r, us) =
-                        ctx.probe("formula.parse", || dataspread::formula::parser::parse(&src));
-                    r?;
-                    ctx.sample("formula.parse_us", us);
-                }
                 let wb = &mut self.wb;
                 let got = ctx.call("engine.set_input", || {
                     wb.set_input(s, CellAddr::new(at, FORMULA_COL), &src)
@@ -459,14 +468,23 @@ impl Workload for Hybrid {
                     );
                 }
             }
-            Op::InsertRow { pos, id, order } => {
+            Op::InsertRow { pos, id } => {
                 let wb = &mut self.wb;
                 ctx.call("engine.insert_tuple_at", || {
-                    wb.insert_tuple_at("orders", pos, order_values(id, order))
+                    wb.insert_tuple_at("notes", pos, note_values(id))
                 })?;
-                self.ids.insert(pos, id);
-                self.orders.insert(id, order);
+                self.notes.insert(pos, id);
             }
+        }
+        Ok(())
+    }
+
+    fn probe(&mut self, op: &Op, ctx: &mut Ctx) -> DsResult<()> {
+        if let Op::Formula { top, .. } = *op {
+            let src = formula_src(top);
+            let (r, us) = ctx.probe("formula.parse", || dataspread::formula::parser::parse(&src));
+            r?;
+            ctx.sample("formula.parse_us", us);
         }
         Ok(())
     }
@@ -538,6 +556,11 @@ impl Workload for Hybrid {
         for r in 0..FORMULA_ROWS {
             digest_value(&mut d, &self.expected_formula(r));
         }
+        for id in &self.notes {
+            for v in &note_values(*id) {
+                digest_value(&mut d, v);
+            }
+        }
         d.finish()
     }
 
@@ -569,6 +592,12 @@ impl Workload for Hybrid {
         let col = Range::from_bounds(0, FORMULA_COL, FORMULA_ROWS - 1, FORMULA_COL);
         for row in wb.sheet(s).region(col) {
             digest_value(&mut d, &row[0]);
+        }
+        let t = wb.catalog().get("notes")?;
+        for (_, row) in t.scan_window(0, t.row_count())? {
+            for v in &row {
+                digest_value(&mut d, v);
+            }
         }
         Ok(d.finish())
     }

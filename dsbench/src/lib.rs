@@ -6,7 +6,6 @@
 //! with every WAL commit fsynced. See `README.md` in this directory for the
 //! workloads, the metric catalogue and how to run it.
 
-pub mod grid;
 pub mod host;
 pub mod hybrid;
 pub mod oltp;
@@ -14,18 +13,18 @@ pub mod rng;
 pub mod stats;
 pub mod trace;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use dataspread::obs::{SampleValue, Snapshot};
-use dataspread::types::{CellAddr, DsResult, Value};
+use dataspread::types::{CellAddr, DsError, DsResult, Value};
 use dataspread::{SheetId, Workbook};
 
 use crate::host::HostContext;
 use crate::rng::Digest;
-use crate::stats::{median, percentile, tail};
+use crate::stats::{mean, median, tail};
 use crate::trace::{OpRec, Tracer};
 
 /// Op types. The first six are reported end to end; the rest are timed and
@@ -39,7 +38,6 @@ pub enum Kind {
     SqlUpdate,
     Query,
     Formula,
-    DeleteRow,
     SqlDelete,
     Param,
 }
@@ -63,7 +61,6 @@ impl Kind {
             Kind::SqlUpdate => "sql_update",
             Kind::Query => "query",
             Kind::Formula => "formula",
-            Kind::DeleteRow => "delete_row",
             Kind::SqlDelete => "sql_delete",
             Kind::Param => "param",
         }
@@ -111,6 +108,9 @@ pub struct Ctx {
     pub layer_sum: BTreeMap<&'static str, f64>,
     /// Correctness-gate failures.
     pub mismatches: Vec<String>,
+    /// Text and engine µs of the op's SQL statement, kept in traced runs
+    /// for the probes that follow the op.
+    last_sql: Option<(String, f64)>,
 }
 
 impl Ctx {
@@ -132,8 +132,9 @@ impl Ctx {
         out
     }
 
-    /// Time a probe call made only in traced runs (not part of any op's
-    /// latency); returns the result and its µs.
+    /// Time a probe call made only in traced runs, after the op it probes
+    /// (not part of any op's latency or registry delta); returns the result
+    /// and its µs.
     pub fn probe<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
         let t0 = Instant::now();
         let start = self.tracer.as_ref().map(Tracer::now_ns);
@@ -176,8 +177,8 @@ pub trait Workload: Sized {
     /// The op sequence: a function of the seed and scale only.
     fn generate(seed: u64, scale: f64, small: bool) -> Vec<Self::Op>;
     fn kind(op: &Self::Op) -> Kind;
-    /// Sub-class of an op within its kind, for ops of one kind whose costs
-    /// differ by design (the hybrid query shapes).
+    /// Class of an op within its kind, for ops of one kind whose costs
+    /// differ by design (the hybrid query shapes); see `Pass::p50`.
     fn class(_op: &Self::Op) -> u8 {
         0
     }
@@ -186,6 +187,11 @@ pub trait Workload: Sized {
     /// Run one op through the engine, checking its answer against the
     /// shadow model; `Err` is a failed op.
     fn exec(&mut self, op: &Self::Op, ctx: &mut Ctx) -> DsResult<()>;
+    /// Traced runs only: per-layer probes for an op that has just run, made
+    /// after its latency and registry delta are taken.
+    fn probe(&mut self, _op: &Self::Op, _ctx: &mut Ctx) -> DsResult<()> {
+        Ok(())
+    }
     /// End-of-run checks (full recompute, table-vs-region equality, ...).
     fn final_gate(&mut self, ctx: &mut Ctx) -> DsResult<()>;
     fn wb(&self) -> &Workbook;
@@ -306,95 +312,67 @@ pub fn sequence_digest<W: Workload>(ops: &[W::Op]) -> (u64, Vec<(Kind, usize)>) 
     (d.finish(), counts.into_iter().collect())
 }
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
-/// Reopens per run; `open_ms` is the fastest.
-const OPENS: usize = 5;
+/// Points of the pass, evenly spaced, at which the run builds two more
+/// set-ups and reopens a copy of its store (see `README.md`, "How a run
+/// works"). With the set-up before the pass and the reopen after it, a run
+/// times `2 × MARKS + 1` set-ups and `MARKS + 1` opens, spread over the
+/// whole run, so one slow host period cannot cover them all.
+const MARKS: usize = 4;
 
 pub fn run(cfg: &Config) -> Result<Report, String> {
     match cfg.workload.as_str() {
-        grid::Grid::NAME => run_workload::<grid::Grid>(cfg),
         oltp::Oltp::NAME => run_workload::<oltp::Oltp>(cfg),
         hybrid::Hybrid::NAME => run_workload::<hybrid::Hybrid>(cfg),
         other => Err(format!(
-            "unknown workload `{other}` (expected grid_recalc, table_oltp or hybrid_bound)"
+            "unknown workload `{other}` (expected table_oltp or hybrid_bound)"
         )),
     }
 }
 
 /// What one pass over the op sequence measured.
 struct Pass {
-    /// Engine µs per op kind, successful ops only.
-    lat: BTreeMap<Kind, Vec<f64>>,
-    /// The same, restricted to the pass's quiet windows (see [`quiet`]).
-    quiet: BTreeMap<Kind, Vec<f64>>,
-    /// Ops per second of engine time at the quiet windows' costs.
-    quiet_ops_per_s: f64,
+    /// Engine µs per op kind and class (see [`Workload::class`]),
+    /// successful ops only.
+    lat: BTreeMap<(Kind, u8), Vec<f64>>,
+    /// Engine time of the successful ops, in seconds.
+    engine_s: f64,
     failed: usize,
-    /// Wall time of the whole loop, driver work included.
-    wall_s: f64,
     /// Registry deltas summed per op kind (traced passes only).
     deltas: BTreeMap<Kind, BTreeMap<String, u64>>,
     user_bytes: u64,
 }
 
-/// Length of one window of a pass, by wall-clock start time of its ops.
-const WINDOW_S: f64 = 0.5;
-/// One window in this many is kept as quiet.
-const KEEP_DIV: usize = 5;
-
-/// One op's latency sample: kind, sub-class within the kind, start time
-/// (s into the pass) and engine µs.
-type Sample = (Kind, u8, f64, f64);
-
-/// The samples of the quietest fifth of a pass's windows, per kind, and
-/// the pass's throughput at their per-op costs.
-///
-/// The host's speed swings by up to 2× in periods lasting seconds (other
-/// tenants share its cores and disk), which moves whole windows of ops
-/// together. Each window is scored by its slowdown: the engine time of its
-/// ops over the sum of their classes' pass-wide median latencies (a class
-/// is a kind and sub-class). The fifth of windows with the lowest scores
-/// are kept. Scores compare each op with its own class, so a change that
-/// slows one kind everywhere slows it in the kept windows as well.
-fn quiet(samples: &[Sample]) -> (BTreeMap<Kind, Vec<f64>>, f64) {
-    let mut by_class: BTreeMap<(Kind, u8), Vec<f64>> = BTreeMap::new();
-    for &(k, c, _, us) in samples {
-        by_class.entry((k, c)).or_default().push(us);
+impl Pass {
+    /// Successful ops per second of engine time, over the whole pass.
+    fn ops_per_s(&self) -> f64 {
+        let n: usize = self.lat.values().map(Vec::len).sum();
+        n as f64 / self.engine_s.max(1e-9)
     }
-    let med: BTreeMap<(Kind, u8), f64> = by_class.iter().map(|(k, v)| (*k, median(v))).collect();
-    let mut windows: BTreeMap<u64, Vec<&Sample>> = BTreeMap::new();
-    for s in samples {
-        windows.entry((s.2 / WINDOW_S) as u64).or_default().push(s);
+
+    /// All engine µs of one kind, whatever its class.
+    fn kind(&self, k: Kind) -> Vec<f64> {
+        self.lat
+            .range((k, 0)..=(k, u8::MAX))
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect()
     }
-    let mut scored: Vec<(f64, &Vec<&Sample>)> = windows
-        .values()
-        .map(|ops| {
-            let spent: f64 = ops.iter().map(|s| s.3).sum();
-            let typical: f64 = ops.iter().map(|s| med[&(s.0, s.1)]).sum();
-            (spent / typical.max(1e-9), ops)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let keep = scored.len().div_ceil(KEEP_DIV);
-    let mut kept: BTreeMap<(Kind, u8), Vec<f64>> = BTreeMap::new();
-    for (_, ops) in &scored[..keep] {
-        for s in ops.iter() {
-            kept.entry((s.0, s.1)).or_default().push(s.3);
+
+    /// The reported p50 of one kind over the whole pass: the mean of its
+    /// classes' medians. With one class this is the plain median; with
+    /// several (the hybrid query shapes) it weighs each shape alike instead
+    /// of landing on the edge between two shapes' latencies.
+    fn p50(&self, k: Kind) -> f64 {
+        let meds: Vec<f64> = self
+            .lat
+            .range((k, 0)..=(k, u8::MAX))
+            .map(|(_, v)| median(v))
+            .collect();
+        if meds.is_empty() {
+            0.0
+        } else {
+            meds.iter().sum::<f64>() / meds.len() as f64
         }
     }
-    // Throughput of the whole sequence at the kept windows' mean cost per
-    // class (a class absent from them keeps its pass-wide mean).
-    let mut secs = 0.0;
-    for (class, all) in &by_class {
-        let v = kept.get(class).unwrap_or(all);
-        secs += all.len() as f64 * v.iter().sum::<f64>() / v.len() as f64 / 1e6;
-    }
-    let mut out: BTreeMap<Kind, Vec<f64>> = BTreeMap::new();
-    for ((k, _), v) in kept {
-        out.entry(k).or_default().extend(v);
-    }
-    (out, samples.len() as f64 / secs.max(1e-9))
 }
 
 fn run_workload<W: Workload>(cfg: &Config) -> Result<Report, String> {
@@ -442,22 +420,27 @@ fn run_in<W: Workload>(cfg: &Config) -> Result<Report, String> {
     if !cfg.trace {
         let (mut w, dir, secs) = setup("setup0")?;
         let mut setup_s = vec![secs];
-        let pass = run_pass(&mut w, &ops, &mut ctx).map_err(|e| format!("pass: {e}"))?;
-        // The other set-ups run between the timed opens, which spreads the
-        // opens over time, so one slow host period cannot cover them all.
-        let mut more_setups = |i: usize| -> Result<(), String> {
-            if i + 1 < SETUPS {
-                let (w, dir, secs) = setup(&format!("setup{}", i + 1))?;
-                setup_s.push(secs);
-                drop(w);
-                let _ = std::fs::remove_dir_all(dir);
+        let mut open_ms = Vec::new();
+        let marks: Vec<usize> = (1..=MARKS).map(|k| k * ops.len() / (MARKS + 1)).collect();
+        let pass = run_pass(&mut w, &ops, &mut ctx, &mut |i, w, ctx| {
+            if marks.contains(&i) {
+                for _ in 0..2 {
+                    let (extra, extra_dir, secs) = setup(&format!("setup{}", setup_s.len()))?;
+                    setup_s.push(secs);
+                    drop(extra);
+                    let _ = std::fs::remove_dir_all(extra_dir);
+                }
+                open_ms.push(reopen(w, &dir, cfg, ctx)?);
             }
             Ok(())
-        };
-        let open_ms = close_and_reopen(w, &dir, cfg, &mut ctx, OPENS, &mut more_setups)?;
+        })?;
+        open_ms.push(reopen(&w, &dir, cfg, &mut ctx)?);
+        drop(w);
         report.attempted = ops.len();
         report.failed = pass.failed;
         report.notes.extend(op_notes(&pass, "untraced"));
+        report.notes.push(format!("setup_s samples {setup_s:.4?}"));
+        report.notes.push(format!("open_ms samples {open_ms:.3?}"));
         let mut m = |name: &str, value: f64, unit: &'static str| {
             report.metrics.push(Metric {
                 name: name.to_string(),
@@ -466,35 +449,36 @@ fn run_in<W: Workload>(cfg: &Config) -> Result<Report, String> {
             })
         };
         m("setup_s", median(&setup_s), "s");
-        m("ops_per_s", pass.quiet_ops_per_s, "1/s");
+        m("ops_per_s", pass.ops_per_s(), "1/s");
         m("peak_rss_mb", host::peak_rss_mb().unwrap_or(0.0), "MiB");
         for k in REPORTED {
-            let v = pass.quiet.get(&k).or(pass.lat.get(&k));
-            m(
-                &format!("{}_p50_us", k.name()),
-                v.map_or(0.0, |v| median(v)),
-                "us",
-            );
+            m(&format!("{}_p50_us", k.name()), pass.p50(k), "us");
         }
-        m("open_ms", open_ms, "ms");
+        m("open_ms", mean(&open_ms), "ms");
     } else {
-        // An untraced pass gives the baseline throughput; a second set-up
+        // An untraced pass gives the baseline engine time; a second set-up
         // runs the same sequence traced.
         let (mut w, dir, _) = setup("plain")?;
-        let plain = run_pass(&mut w, &ops, &mut ctx).map_err(|e| format!("pass: {e}"))?;
+        let plain = run_pass(&mut w, &ops, &mut ctx, &mut |_, _, _| Ok(()))?;
         drop(w);
         let _ = std::fs::remove_dir_all(&dir);
         let (mut w, dir, _) = setup("traced")?;
         ctx.tracer = Some(Tracer::default());
-        let traced = run_pass(&mut w, &ops, &mut ctx).map_err(|e| format!("pass: {e}"))?;
+        let traced = run_pass(&mut w, &ops, &mut ctx, &mut |_, _, _| Ok(()))?;
         report.attempted = 2 * ops.len();
         report.failed = plain.failed + traced.failed;
         // Per-layer probes that need the whole run behind them.
         let wal_bytes = std::fs::metadata(dir.join(dataspread::relstore::snapshot::WAL_FILE))
             .map_or(0, |m| m.len());
         ctx.add("persist.wal_bytes_at_open", wal_bytes as f64);
-        close_and_reopen(w, &dir, cfg, &mut ctx, 1, &mut |_| Ok(()))?;
-        let overhead = 1.0 - plain.wall_s / traced.wall_s;
+        reopen(&w, &dir, cfg, &mut ctx)?;
+        traced_epilogue(&mut w, &mut ctx);
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Engine time only: probes, snapshots and span bookkeeping between
+        // engine calls are left out, so this is what tracing adds to the
+        // engine calls themselves (plus host drift between the passes).
+        let overhead = 1.0 - plain.engine_s / traced.engine_s;
         report.notes.extend(op_notes(&plain, "untraced"));
         report.notes.extend(op_notes(&traced, "traced"));
         report.metrics = layer_metrics(&ctx, &traced, overhead);
@@ -529,30 +513,23 @@ fn run_in<W: Workload>(cfg: &Config) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Sample count, p50, tail label and tail value of one op kind's latencies
-/// (zeros when the pass ran none).
-fn summary(lat: &BTreeMap<Kind, Vec<f64>>, k: Kind) -> (usize, f64, &'static str, f64) {
-    let mut v = lat.get(&k).cloned().unwrap_or_default();
-    if v.is_empty() {
-        return (0, 0.0, "none", 0.0);
-    }
-    v.sort_by(f64::total_cmp);
-    let (label, tv) = tail(&v);
-    (v.len(), percentile(&v, 0.5), label, tv)
-}
-
-/// One line per op kind: sample count, p50 and the tail used over the whole
-/// pass, then sample count and p50 over its quiet windows.
+/// One line per op kind: sample count, reported p50, the tail used, and the
+/// kind's share of the pass's engine time.
 fn op_notes(pass: &Pass, label: &str) -> Vec<String> {
-    pass.lat
-        .keys()
-        .map(|&k| {
-            let (n, p50, tl, tv) = summary(&pass.lat, k);
-            let (qn, qp50, _, _) = summary(&pass.quiet, k);
+    let kinds: BTreeSet<Kind> = pass.lat.keys().map(|(k, _)| *k).collect();
+    kinds
+        .into_iter()
+        .map(|k| {
+            let mut v = pass.kind(k);
+            v.sort_by(f64::total_cmp);
+            let (tl, tv) = tail(&v);
+            let share = v.iter().sum::<f64>() / 1e6 / pass.engine_s.max(1e-9);
             let reported = if REPORTED.contains(&k) { "" } else { " (not reported)" };
             format!(
-                "{label} op {:<10} n={n:<6} p50_us={p50:.1} {tl}_us={tv:.1} quiet_n={qn} quiet_p50_us={qp50:.1}{reported}",
-                k.name()
+                "{label} op {:<10} n={:<6} p50_us={:.1} {tl}_us={tv:.1} engine_share={share:.3}{reported}",
+                k.name(),
+                v.len(),
+                pass.p50(k),
             )
         })
         .collect()
@@ -577,23 +554,27 @@ fn counters(snap: &Snapshot) -> BTreeMap<String, u64> {
     out
 }
 
-fn run_pass<W: Workload>(w: &mut W, ops: &[W::Op], ctx: &mut Ctx) -> DsResult<Pass> {
-    let mut samples: Vec<Sample> = Vec::with_capacity(ops.len());
+/// Run the op sequence once, calling `between(i, ..)` before op `i`
+/// (outside any op's timing). In traced passes each op's registry delta is
+/// taken around the op alone; the layer probes run after it is closed.
+fn run_pass<W: Workload>(
+    w: &mut W,
+    ops: &[W::Op],
+    ctx: &mut Ctx,
+    between: &mut dyn FnMut(usize, &mut W, &mut Ctx) -> Result<(), String>,
+) -> Result<Pass, String> {
     let mut pass = Pass {
         lat: BTreeMap::new(),
-        quiet: BTreeMap::new(),
-        quiet_ops_per_s: 0.0,
+        engine_s: 0.0,
         failed: 0,
-        wall_s: 0.0,
         deltas: BTreeMap::new(),
         user_bytes: 0,
     };
-    let t0 = Instant::now();
     for (i, op) in ops.iter().enumerate() {
+        between(i, w, ctx)?;
         let kind = W::kind(op);
         pass.user_bytes += W::user_bytes(op);
         ctx.op_engine_ns = 0;
-        let at = t0.elapsed().as_secs_f64();
         let before = if ctx.traced() {
             let tr = ctx.tracer.as_mut().expect("traced");
             tr.set_op(i as u64);
@@ -603,7 +584,11 @@ fn run_pass<W: Workload>(w: &mut W, ops: &[W::Op], ctx: &mut Ctx) -> DsResult<Pa
         };
         let res = w.exec(op, ctx);
         match &res {
-            Ok(()) => samples.push((kind, W::class(op), at, ctx.op_engine_ns as f64 / 1e3)),
+            Ok(()) => {
+                let us = ctx.op_engine_ns as f64 / 1e3;
+                pass.lat.entry((kind, W::class(op))).or_default().push(us);
+                pass.engine_s += us / 1e6;
+            }
             Err(e) => {
                 pass.failed += 1;
                 ctx.check(false, || format!("op {i} {op:?} failed: {e}"));
@@ -629,15 +614,18 @@ fn run_pass<W: Workload>(w: &mut W, ops: &[W::Op], ctx: &mut Ctx) -> DsResult<Pa
                 ok: res.is_ok(),
                 delta,
             });
+            if res.is_ok() {
+                let probed = w.probe(op, ctx).and_then(|()| sql_probes(w.wb_mut(), ctx));
+                ctx.check(probed.is_ok(), || {
+                    format!("probes of op {i} failed: {probed:?}")
+                });
+            }
+            ctx.last_sql = None;
         }
     }
-    pass.wall_s = t0.elapsed().as_secs_f64();
-    for &(k, _, _, us) in &samples {
-        pass.lat.entry(k).or_default().push(us);
-    }
-    (pass.quiet, pass.quiet_ops_per_s) = quiet(&samples);
-    w.final_gate(ctx)?;
-    let live = W::digest(w.wb_mut())?;
+    let gate = |e: DsError| format!("end-of-pass gate: {e}");
+    w.final_gate(ctx).map_err(gate)?;
+    let live = W::digest(w.wb_mut()).map_err(gate)?;
     let expected = w.expected_digest();
     ctx.check(live == expected, || {
         format!("live contents digest {live:016x} != shadow {expected:016x}")
@@ -645,46 +633,25 @@ fn run_pass<W: Workload>(w: &mut W, ops: &[W::Op], ctx: &mut Ctx) -> DsResult<Pa
     Ok(pass)
 }
 
-/// Copy the run's store `opens` times, drop the live workbook, then time
-/// `Workbook::open` on each copy (each open folds the WAL into a new
-/// checkpoint, so every open needs an untouched copy), calling `between`
-/// after each. The first reopened workbook must digest to the shadow model.
-/// Returns the fastest open's ms.
-fn close_and_reopen<W: Workload>(
-    mut w: W,
-    dir: &Path,
-    cfg: &Config,
-    ctx: &mut Ctx,
-    opens: usize,
-    between: &mut dyn FnMut(usize) -> Result<(), String>,
-) -> Result<f64, String> {
+/// Copy the store in `dir` of the live workload `w` (every commit is
+/// fsynced, so the copy is what a restart at this point would find) and
+/// time `Workbook::open` on the copy. Open folds the WAL into a new
+/// checkpoint, so each open needs a copy of its own. The reopened contents
+/// must digest to the shadow model. Returns the open's ms.
+fn reopen<W: Workload>(w: &W, dir: &Path, cfg: &Config, ctx: &mut Ctx) -> Result<f64, String> {
+    let copy = cfg.work.join("reopen");
+    copy_dir(dir, &copy).map_err(|e| format!("copying store: {e}"))?;
+    let t = Instant::now();
+    let mut wb = Workbook::open(&copy).map_err(|e| format!("reopen: {e}"))?;
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let got = W::digest(&mut wb).map_err(|e| format!("digest: {e}"))?;
     let expected = w.expected_digest();
-    let copies: Vec<PathBuf> = (0..opens)
-        .map(|i| cfg.work.join(format!("reopen{i}")))
-        .collect();
-    for c in &copies {
-        copy_dir(dir, c).map_err(|e| format!("copying store: {e}"))?;
-    }
-    if ctx.traced() {
-        traced_epilogue(&mut w, ctx);
-    }
-    drop(w);
-    let mut times = Vec::with_capacity(opens);
-    for (i, c) in copies.iter().enumerate() {
-        let t = Instant::now();
-        let mut wb = Workbook::open(c).map_err(|e| format!("reopen: {e}"))?;
-        times.push(t.elapsed().as_secs_f64() * 1e3);
-        if i == 0 {
-            let got = W::digest(&mut wb).map_err(|e| format!("digest: {e}"))?;
-            ctx.check(got == expected, || {
-                format!("reopened contents digest {got:016x} != shadow {expected:016x}")
-            });
-        }
-        drop(wb);
-        let _ = std::fs::remove_dir_all(c);
-        between(i)?;
-    }
-    Ok(times.iter().copied().fold(f64::INFINITY, f64::min))
+    ctx.check(got == expected, || {
+        format!("reopened contents digest {got:016x} != shadow {expected:016x}")
+    });
+    drop(wb);
+    let _ = std::fs::remove_dir_all(&copy);
+    Ok(ms)
 }
 
 /// Traced-run probes over the finished workbook: edits nothing reads, full
@@ -776,7 +743,7 @@ fn layer_metrics(ctx: &Ctx, pass: &Pass, overhead: f64) -> Vec<Metric> {
     let n_of = |kinds: &dyn Fn(Kind) -> bool| -> f64 {
         pass.lat
             .iter()
-            .filter(|(k, _)| kinds(**k))
+            .filter(|((k, _), _)| kinds(*k))
             .map(|(_, v)| v.len() as f64)
             .sum()
     };
@@ -806,7 +773,7 @@ fn layer_metrics(ctx: &Ctx, pass: &Pass, overhead: f64) -> Vec<Metric> {
             engine += ns;
         } else if REPORTED
             .iter()
-            .chain(&[Kind::Formula, Kind::DeleteRow, Kind::SqlDelete, Kind::Param])
+            .chain(&[Kind::Formula, Kind::SqlDelete, Kind::Param])
             .any(|k| k.name() == *name)
         {
             driver += ns;
@@ -906,36 +873,38 @@ fn layer_metrics(ctx: &Ctx, pass: &Pass, overhead: f64) -> Vec<Metric> {
         .collect()
 }
 
-/// Run the SQL `sql` as one op's engine call. Traced runs also time
-/// `parse_statement` on the same text (and `EXPLAIN` for queries) as
-/// separate probes.
+/// Run the SQL `sql` as one op's engine call. Traced runs keep its text
+/// for [`sql_probes`].
 pub fn sql_call(wb: &mut Workbook, ctx: &mut Ctx, sql: &str) -> DsResult<dataspread::QueryResult> {
-    let is_select = sql.starts_with("SELECT");
-    let mut parse_us = 0.0;
-    let mut explain_us = 0.0;
-    if ctx.traced() {
-        let (r, us) = ctx.probe("sql.parse", || dataspread::sql::parse_statement(sql));
-        r?;
-        parse_us = us;
-        ctx.sample("sql.parse_us", us);
-        if is_select {
-            let text = format!("EXPLAIN {sql}");
-            let (r, us) = ctx.probe("exec.plan", || wb.execute(&text));
-            r?;
-            explain_us = us;
-            ctx.sample("exec.plan_us", (us - parse_us).max(0.0));
-        }
-    }
-    let t0 = Instant::now();
+    let before = ctx.op_engine_ns;
     let out = ctx.call("engine.execute", || wb.execute(sql))?;
     if ctx.traced() {
-        if is_select {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            ctx.sample("exec.execute_us", (us - explain_us.max(parse_us)).max(0.0));
-        }
         if let Some(n) = out.affected() {
             ctx.add("exec.rows_affected", n as f64);
         }
+        let us = (ctx.op_engine_ns - before) as f64 / 1e3;
+        ctx.last_sql = Some((sql.to_string(), us));
     }
     Ok(out)
+}
+
+/// Probes of the op's SQL statement, if it ran one: `parse_statement` on
+/// the same text, and for queries `EXPLAIN` (parse and plan). The plan time
+/// is `EXPLAIN` less parse; the execute time is the query's engine time
+/// less `EXPLAIN`.
+fn sql_probes(wb: &mut Workbook, ctx: &mut Ctx) -> DsResult<()> {
+    let Some((sql, query_us)) = ctx.last_sql.take() else {
+        return Ok(());
+    };
+    let (r, parse_us) = ctx.probe("sql.parse", || dataspread::sql::parse_statement(&sql));
+    r?;
+    ctx.sample("sql.parse_us", parse_us);
+    if sql.starts_with("SELECT") {
+        let text = format!("EXPLAIN {sql}");
+        let (r, explain_us) = ctx.probe("exec.plan", || wb.execute(&text));
+        r?;
+        ctx.sample("exec.plan_us", (explain_us - parse_us).max(0.0));
+        ctx.sample("exec.execute_us", (query_us - explain_us).max(0.0));
+    }
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! `dsbench --workload <grid_recalc|table_oltp|hybrid_bound> --seed <n>
+//! `dsbench --workload <table_oltp|hybrid_bound> --seed <n>
 //! --seconds <n> --trace <0|1>`
 //!
 //! Runs one workload and prints, as its last line, one JSON object with the

@@ -20,6 +20,12 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Arithmetic mean (`values` non-empty).
+pub fn mean(values: &[f64]) -> f64 {
+    assert!(!values.is_empty(), "mean of no values");
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
 /// The tail rule: the highest percentile that keeps at least ten samples
 /// beyond it — p99 from 1000 samples, p90 from 100. Below 100 samples (only
 /// in shortened runs) the maximum is reported. Returns the label and value.

@@ -4,7 +4,6 @@
 
 use std::path::PathBuf;
 
-use dsbench::grid::Grid;
 use dsbench::hybrid::Hybrid;
 use dsbench::oltp::Oltp;
 use dsbench::{run, sequence_digest, Config, Workload, LAYER_METRICS};
@@ -15,10 +14,8 @@ fn digest<W: Workload>(seed: u64) -> u64 {
 
 #[test]
 fn same_seed_same_sequence() {
-    assert_eq!(digest::<Grid>(7), digest::<Grid>(7));
     assert_eq!(digest::<Oltp>(7), digest::<Oltp>(7));
     assert_eq!(digest::<Hybrid>(7), digest::<Hybrid>(7));
-    assert_ne!(digest::<Grid>(7), digest::<Grid>(8));
     assert_ne!(digest::<Oltp>(7), digest::<Oltp>(8));
     assert_ne!(digest::<Hybrid>(7), digest::<Hybrid>(8));
 }
@@ -64,12 +61,6 @@ fn smoke(workload: &str, trace: bool) {
             assert!(v > 0.0, "{name} = {v}");
         }
     }
-}
-
-#[test]
-fn grid_recalc_passes_its_gate() {
-    smoke("grid_recalc", false);
-    smoke("grid_recalc", true);
 }
 
 #[test]
