@@ -40,7 +40,7 @@ fn main() {
         println!("run me again to recover");
     } else {
         // ---- session 2: recover and verify ------------------------------
-        let mut wb = Workbook::open(&dir).unwrap();
+        let wb = Workbook::open(&dir).unwrap();
         let (_, rows) = wb
             .query("SELECT name, score FROM students WHERE score > RANGEVALUE(B1) ORDER BY name")
             .unwrap();

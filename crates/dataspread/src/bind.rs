@@ -186,7 +186,7 @@ impl Workbook {
         }
         let width = self.catalog.get(table)?.schema().width();
         let cols: Vec<u32> = (0..width as u32).collect();
-        self.bind_with_cols(sheet, at, table, model, cols)
+        self.edit(|wb| wb.bind_with_cols(sheet, at, table, model, cols))
     }
 
     /// Bind selected columns of a table ([`BindModel::Com`]): the region
@@ -211,7 +211,7 @@ impl Workbook {
             cols.push(i as u32);
         }
         drop(t);
-        self.bind_with_cols(sheet, at, table, BindModel::Com, cols)
+        self.edit(|wb| wb.bind_with_cols(sheet, at, table, BindModel::Com, cols))
     }
 
     fn bind_with_cols(
@@ -269,7 +269,6 @@ impl Workbook {
         self.bindings.register(meta);
         let i = self.bindings.bindings.len() - 1;
         self.refresh_binding_slot(i, true)?;
-        self.flush_grid();
         Ok(id)
     }
 
@@ -282,7 +281,7 @@ impl Workbook {
             .bindings
             .index_of(id)
             .ok_or_else(|| DsError::Interface(format!("no binding {id}")))?;
-        self.detach_binding_keep_values(i)
+        self.edit(|wb| wb.detach_binding_keep_values(i))
     }
 
     /// Every binding id, in creation order.
@@ -347,7 +346,7 @@ impl Workbook {
     /// `UPDATE`-one-attribute DML on the backing table (WAL-logged, schema-
     /// conformed — the grid then displays the conformed value); a TOM header
     /// cell renames the column. Returns the previously displayed value.
-    /// The caller flushes the grid.
+    /// The caller's `edit` folds the grid.
     pub(crate) fn bound_set_value(
         &mut self,
         bi: usize,
@@ -444,7 +443,7 @@ impl Workbook {
             }
             let mut t = match self.catalog.get_mut(&meta.table) {
                 Ok(t) => t,
-                Err(_) => continue, // vanished table: sync_bindings detaches
+                Err(_) => continue, // vanished table: refresh_bindings detaches
             };
             let data_start = meta.row + meta.model.has_header() as u32;
             let data_end = data_start + t.row_count() as u32;
@@ -781,12 +780,19 @@ impl Workbook {
 
     // ---- table → sheet: refresh ------------------------------------------
 
-    /// Fold table-side changes into the grid: detach bindings whose table
-    /// vanished (freezing their last rendered values), then re-render every
-    /// binding whose table version or extent changed. The post-statement
-    /// hook of [`Workbook::execute`] and every binding entry point funnel
-    /// through here.
+    /// Fold table-side changes into the grid — after direct
+    /// [`Workbook::catalog_mut`] DML, say — and recompute the formulas
+    /// watching the re-rendered regions before returning.
     pub fn sync_bindings(&mut self) -> DsResult<()> {
+        self.edit(Workbook::refresh_bindings)
+    }
+
+    /// Detach bindings whose table vanished (freezing their last rendered
+    /// values), then re-render every binding whose table version or extent
+    /// changed, leaving the recompute to the caller's fold. The
+    /// post-statement hook of [`Workbook::execute`], positional inserts and
+    /// `open` funnel through here.
+    pub(crate) fn refresh_bindings(&mut self) -> DsResult<()> {
         // Pass 1: tables that no longer exist.
         let orphaned: Vec<u64> = self
             .bindings

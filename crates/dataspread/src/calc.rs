@@ -5,9 +5,10 @@
 //! the changed cells, in topological order, never the unrelated ones (the
 //! HTAP argument: interactive latency must not pay for workbook size).
 //!
-//! The sheets record edits (`Sheet::take_pending`); the
-//! workbook folds them in lazily, on the next read or eagerly at the end of
-//! each workbook-level edit:
+//! The sheets record edits (`Sheet::take_pending`); every `&mut` workbook
+//! entry point folds them in before it returns, on success and on error
+//! (`Workbook::edit`), so the `&self` reads never see a stale cache and
+//! never flush:
 //!
 //! 1. **Structural edits** (insert/delete rows/cols) first rewrite the
 //!    references of *other* sheets' formulas pointing at the edited sheet
@@ -96,9 +97,9 @@ impl Workbook {
 
     /// Fold every sheet's pending edits into the dependency graph and
     /// recompute what they invalidate. Cheap no-op when nothing is pending.
-    /// Called by every workbook-level read and at the end of every
-    /// workbook-level edit, so direct `sheet_mut` edits are folded in no
-    /// later than the next workbook operation.
+    /// Called only by `Workbook::edit`, at the end of every workbook-level
+    /// edit, and by `open` after WAL replay; tests that batch raw
+    /// `sheet_mut` edits call it themselves, as replay does.
     pub(crate) fn flush_grid(&mut self) {
         if self.sheets.iter().all(|s| !s.has_pending()) {
             return;
@@ -401,9 +402,10 @@ mod tests {
 
     #[test]
     fn later_formulas_are_not_double_shifted_by_batched_structural_edits() {
-        // Raw `sheet_mut` edits batch into one flush. A formula typed AFTER
-        // a structural edit already uses post-edit coordinates; the deferred
-        // foreign-reference rewrite must leave it alone (edit-clock stamps).
+        // Raw `sheet_mut` edits batch into one flush, as WAL replay does. A
+        // formula typed AFTER a structural edit already uses post-edit
+        // coordinates; the deferred foreign-reference rewrite must leave it
+        // alone (edit-clock stamps).
         let mut wb = Workbook::new();
         let data = wb.add_sheet("Data").unwrap();
         let s = wb.current_sheet();
@@ -412,25 +414,15 @@ mod tests {
         // coordinates (A5 moved to A6).
         wb.sheet_mut(data).insert_rows(0, 1).unwrap();
         wb.sheet_mut(s).set_input(a("B1"), "=Data!A6").unwrap();
+        wb.flush_grid();
         assert_eq!(wb.cell(s, a("B1")), Value::Int(9));
         assert_eq!(wb.formula_text(s, a("B1")), Some("=Data!A6"));
         // The reverse order in one batch still shifts the older formula.
         wb.sheet_mut(s).set_input(a("B2"), "=Data!A6").unwrap();
         wb.sheet_mut(data).insert_rows(0, 1).unwrap();
+        wb.flush_grid();
         assert_eq!(wb.cell(s, a("B2")), Value::Int(9));
         assert_eq!(wb.formula_text(s, a("B2")), Some("=Data!A7"));
-    }
-
-    #[test]
-    fn direct_sheet_edits_fold_in_on_next_read() {
-        let mut wb = Workbook::new();
-        let s = wb.current_sheet();
-        wb.set_input(s, a("A1"), "4").unwrap();
-        wb.set_input(s, a("B1"), "=A1*3").unwrap();
-        // Raw sheet access (the escape hatch): no immediate recompute…
-        wb.sheet_mut(s).set_input(a("A1"), "10").unwrap();
-        // …but any workbook-level read folds it in.
-        assert_eq!(wb.cell(s, a("B1")), Value::Int(30));
     }
 
     #[test]
@@ -445,11 +437,6 @@ mod tests {
         wb.set_input(s, a("A2"), "=A1/2").unwrap();
         let (_, rows) = wb.query("SELECT SUM(a) FROM RANGETABLE(A1:A2)").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(60)]]);
-        // And stale caches are flushed even when the edit bypassed the
-        // workbook API.
-        wb.sheet_mut(s).set_input(a("A1"), "100").unwrap();
-        let (_, rows) = wb.query("SELECT RANGEVALUE(B1)").unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(102)]]);
     }
 
     #[test]

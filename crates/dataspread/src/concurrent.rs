@@ -1,129 +1,59 @@
 //! The concurrent engine: snapshot-isolated parallel reads and sharded
 //! parallel writes over one shared workbook.
 //!
-//! Three access tiers, cheapest first (protocol details and the full lock
+//! Two access tiers, cheapest first (protocol details and the full lock
 //! discipline: `docs/CONCURRENCY.md`):
 //!
 //! 1. **[`WorkbookSnapshot`]** — an owned, immutable copy-on-write image of
 //!    every table. Taking one costs O(#pages) `Arc` clones per table; using
 //!    one costs nothing in locks. Scans over it never block and are never
 //!    blocked.
-//! 2. **[`ReadSession`]** — a borrowed `&Workbook` view that runs `SELECT`s
-//!    against the live catalog. Each table scan plans against a
-//!    [`TableSnapshot`] taken at plan time, so the query holds a table's
-//!    read lock only for the snapshot clone, not for the scan.
-//! 3. **[`SharedWorkbook`]** — `Arc<RwLock<Workbook>>` for multi-threaded
-//!    engines. Readers share the workbook read lock; whole-workbook edits
-//!    (sheet input, SQL DML/DDL — anything that may touch the
-//!    workbook-global formula graph or bindings) take the write lock; and
-//!    [`SharedWorkbook::with_table_mut`] threads DML to *one* table through
-//!    the workbook **read** lock plus that table's shard write lock, so
-//!    writers to disjoint tables run in parallel and each logged operation
-//!    rides the WAL's group commit.
+//! 2. **[`SharedWorkbook`]** — `Arc<RwLock<Workbook>>` for multi-threaded
+//!    engines. Readers share the workbook read lock and get `&Workbook`:
+//!    every read — cells, ranges, viewports, `SELECT` — takes `&self`,
+//!    because every `&mut` entry point folds pending recompute before it
+//!    returns. Whole-workbook edits (sheet input, SQL DML/DDL — anything
+//!    that may touch the workbook-global formula graph or bindings) take
+//!    the write lock; and [`SharedWorkbook::with_table_mut`] threads DML to
+//!    *one* table through the workbook **read** lock plus that table's
+//!    shard write lock, so writers to disjoint tables run in parallel and
+//!    each logged operation rides the WAL's group commit.
 //!
-//! Snapshot semantics: a snapshot (tier 1, or the per-scan snapshots of
-//! tier 2) observes exactly the operations that completed before it was
-//! taken — never a torn row, never an uncommitted in-progress write,
-//! because the snapshot clone itself runs under the table's read lock which
-//! excludes the writer holding the shard exclusively.
+//! Snapshot semantics: a snapshot (tier 1, or the per-scan
+//! [`TableSnapshot`]s a `SELECT` plans against) observes exactly the
+//! operations that completed before it was taken — never a torn row, never
+//! an uncommitted in-progress write, because the snapshot clone itself
+//! runs under the table's read lock which excludes the writer holding the
+//! shard exclusively.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use dataspread_relstore::{GroupCommitStats, Table, TableSnapshot};
-use dataspread_sql::ast::Statement;
-use dataspread_sql::parser::parse_statement;
 use dataspread_types::{DsError, DsResult, Value};
 
-use crate::engine::QueryResult;
-use crate::exec::{run_select, ExecCtx};
 use crate::workbook::Workbook;
 
-// ---- tier 2: the borrowed read session ---------------------------------
-
-/// A `&self`-based query handle over a workbook: runs `SELECT` statements
-/// (and takes snapshots) without `&mut Workbook`.
-///
-/// Because every public mutating entry point of [`Workbook`] folds pending
-/// formula recomputation before returning, a workbook *at rest* — one no
-/// thread is currently mutating — always shows computed values, so a read
-/// session needs no flush of its own. `RANGEVALUE`/`RANGETABLE` resolve
-/// against that at-rest grid.
-pub struct ReadSession<'a> {
-    wb: &'a Workbook,
-}
-
 impl Workbook {
-    /// Open a read-only query session. See [`ReadSession`].
-    pub fn read_session(&self) -> ReadSession<'_> {
-        ReadSession { wb: self }
-    }
-
     /// Group-commit counters of the attached WAL (commits vs fsyncs), or
     /// `None` when the workbook has no durable store.
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
         self.store.as_ref().map(|s| s.wal.group_commit_stats())
     }
 
-    /// An owned consistent image of every catalog table. See
-    /// [`WorkbookSnapshot`].
-    pub fn snapshot(&self) -> WorkbookSnapshot {
-        self.read_session().snapshot()
-    }
-}
-
-impl ReadSession<'_> {
-    /// Run one `SELECT` and return `(column names, rows)`. Any other
-    /// statement kind is rejected — mutation goes through `&mut Workbook`
-    /// (or [`SharedWorkbook::with_table_mut`]).
-    pub fn query(&self, sql: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let stmt = parse_statement(sql)?;
-        let sel = match stmt {
-            Statement::Select(sel) => sel,
-            other => {
-                let kind = match other {
-                    Statement::Select(_) => unreachable!(),
-                    Statement::Insert { .. } => "INSERT",
-                    Statement::Update { .. } => "UPDATE",
-                    Statement::Delete { .. } => "DELETE",
-                    Statement::CreateTable { .. } => "CREATE TABLE",
-                    Statement::DropTable { .. } => "DROP TABLE",
-                    _ => "a non-SELECT statement",
-                };
-                return Err(DsError::Sql(format!(
-                    "read session accepts SELECT only, got {kind}"
-                )));
-            }
-        };
-        let resolver = self.wb.sheet_ctx();
-        let ctx = ExecCtx {
-            catalog: self.wb.catalog(),
-            resolver: &resolver,
-            options: self.wb.exec_options(),
-            metrics: self.wb.obs.exec.clone(),
-        };
-        run_select(&ctx, &sel)
-    }
-
-    /// Like [`ReadSession::query`], shaped as a [`QueryResult`].
-    pub fn execute(&self, sql: &str) -> DsResult<QueryResult> {
-        let (columns, rows) = self.query(sql)?;
-        Ok(QueryResult::Rows { columns, rows })
-    }
-
     /// A consistent snapshot of one table.
     pub fn table_snapshot(&self, table: &str) -> DsResult<TableSnapshot> {
-        self.wb.catalog().snapshot_of(table)
+        self.catalog.snapshot_of(table)
     }
 
-    /// A consistent per-table image of the whole catalog. Tables are
+    /// An owned consistent image of every catalog table. Tables are
     /// snapshot one at a time (each under its own read lock); the set is
-    /// point-in-time per table, not across tables.
+    /// point-in-time per table, not across tables. See
+    /// [`WorkbookSnapshot`].
     pub fn snapshot(&self) -> WorkbookSnapshot {
-        let catalog = self.wb.catalog();
         let mut tables = HashMap::new();
-        for name in catalog.table_names() {
-            if let Ok(snap) = catalog.snapshot_of(&name) {
+        for name in self.catalog.table_names() {
+            if let Ok(snap) = self.catalog.snapshot_of(&name) {
                 tables.insert(name.to_ascii_lowercase(), snap);
             }
         }
@@ -172,14 +102,14 @@ impl WorkbookSnapshot {
     }
 }
 
-// ---- tier 3: the shared workbook ---------------------------------------
+// ---- tier 2: the shared workbook ---------------------------------------
 
 /// A workbook behind `Arc<RwLock<..>>`: clone handles freely across
 /// threads.
 ///
 /// Lock layering (top to bottom; see `docs/CONCURRENCY.md`):
 ///
-/// * the **workbook lock** — read-shared by queries and by
+/// * the **workbook lock** — read-shared by reads and by
 ///   [`SharedWorkbook::with_table_mut`], write-exclusive for whole-workbook
 ///   edits ([`SharedWorkbook::write`]);
 /// * each table's **shard lock** — what actually serializes writers of one
@@ -202,11 +132,12 @@ impl SharedWorkbook {
         }
     }
 
-    /// Run `f` under the workbook read lock with a [`ReadSession`].
-    /// Concurrent callers proceed in parallel; whole-workbook writers wait.
-    pub fn read<R>(&self, f: impl FnOnce(&ReadSession<'_>) -> R) -> R {
+    /// Run `f` under the workbook read lock: cell, range and viewport
+    /// reads, `SELECT`s and snapshots. Concurrent callers proceed in
+    /// parallel; whole-workbook writers wait.
+    pub fn read<R>(&self, f: impl FnOnce(&Workbook) -> R) -> R {
         let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        f(&g.read_session())
+        f(&g)
     }
 
     /// Run `f` under the workbook **write** lock — the path for sheet
@@ -286,19 +217,71 @@ mod tests {
     }
 
     #[test]
-    fn read_session_selects_without_mut() {
+    fn query_selects_without_mut() {
         let wb = seeded();
-        let s = wb.read_session();
+        let s: &Workbook = &wb;
         let (cols, rows) = s.query("SELECT v FROM t WHERE id >= 2").unwrap();
         assert_eq!(cols, vec!["v"]);
         assert_eq!(rows, vec![vec![Value::Int(20)], vec![Value::Int(30)]]);
     }
 
     #[test]
-    fn read_session_rejects_dml() {
+    fn query_rejects_writes_before_running_them() {
         let wb = seeded();
-        let err = wb.read_session().query("DELETE FROM t").unwrap_err();
-        assert!(matches!(err, DsError::Sql(_)), "{err:?}");
+        let s: &Workbook = &wb;
+        for (sql, kind) in [
+            ("DELETE FROM t WHERE id = 2", "DELETE"),
+            ("INSERT INTO t VALUES (4, 40)", "INSERT"),
+            ("UPDATE t SET v = 0", "UPDATE"),
+            ("DROP TABLE t", "DROP TABLE"),
+        ] {
+            match s.query(sql) {
+                Err(DsError::Sql(msg)) => assert!(msg.contains(kind), "{msg}"),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        assert_eq!(s.catalog().get("t").unwrap().row_count(), 3, "nothing ran");
+        let (_, rows) = s.query("SELECT SUM(v) FROM t").unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(60)]]);
+    }
+
+    #[test]
+    fn shared_read_serves_grid_reads_under_one_lock() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        let (a1, b1) = ("A1".parse().unwrap(), "B1".parse().unwrap());
+        wb.set_input(s, a1, "1").unwrap();
+        wb.set_input(s, b1, "=A1*2").unwrap();
+        let shared = SharedWorkbook::new(wb);
+        let writer = {
+            let sh = shared.clone();
+            thread::spawn(move || {
+                for i in 2..=200 {
+                    sh.write(|wb| wb.set_input(s, a1, &i.to_string())).unwrap();
+                }
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let sh = shared.clone();
+                thread::spawn(move || loop {
+                    // Both cells under one read lock: the writer's edit and
+                    // its recompute are never observed half-done.
+                    let (a, b) = sh.read(|wb| (wb.cell(s, a1), wb.cell(s, b1)));
+                    let (Value::Int(a), Value::Int(b)) = (a, b) else {
+                        panic!("non-integer cells");
+                    };
+                    assert_eq!(b, 2 * a, "B1 = A1*2 under one read lock");
+                    if a == 200 {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        writer.join().unwrap();
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 
     #[test]

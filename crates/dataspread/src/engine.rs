@@ -2,9 +2,10 @@
 //! with positional references resolved from the live workbook.
 //!
 //! `SELECT` runs through the streaming operator pipeline in [`crate::exec`]
-//! (planning, pushdown, hash joins, hash aggregation); this module keeps the
-//! statement surface around it — the three DML families (streaming their
-//! table scans) and DDL including the paper's cheap `ALTER TABLE` path.
+//! (planning, pushdown, hash joins, hash aggregation) from the workbook's
+//! `&self` read path; this module keeps the mutating statements — the three
+//! DML families (streaming their table scans) and DDL including the paper's
+//! cheap `ALTER TABLE` path.
 
 use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema};
 use dataspread_sql::ast::{AlterAction, Expr, InsertSource, Statement};
@@ -12,9 +13,7 @@ use dataspread_sql::expr::{bind, eval, truth, BExpr, ColInfo};
 use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{DsError, DsResult, Value};
 
-use crate::exec::{
-    analyze_select, eval_standalone, explain_select, run_select, ExecCtx, ExecMetrics, ExecOptions,
-};
+use crate::exec::{eval_standalone, run_select, ExecCtx, ExecMetrics, ExecOptions};
 
 /// Outcome of one executed statement.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,7 +47,8 @@ impl QueryResult {
     }
 }
 
-/// Execute one statement.
+/// Execute one mutating statement (DML, DDL, `ANALYZE`). The read
+/// statements run through `Workbook::query`'s read path instead.
 pub(crate) fn execute(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
@@ -57,45 +57,9 @@ pub(crate) fn execute(
     metrics: &ExecMetrics,
 ) -> DsResult<QueryResult> {
     match stmt {
-        Statement::Select(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let (columns, rows) = run_select(&ctx, &sel)?;
-            Ok(QueryResult::Rows { columns, rows })
-        }
-        Statement::Explain(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let rows = explain_select(&ctx, &sel)?
-                .into_iter()
-                .map(|line| vec![Value::Text(line)])
-                .collect();
-            Ok(QueryResult::Rows {
-                columns: vec!["plan".to_string()],
-                rows,
-            })
-        }
-        Statement::ExplainAnalyze(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let (lines, _) = analyze_select(&ctx, &sel)?;
-            Ok(QueryResult::Rows {
-                columns: vec!["plan".to_string()],
-                rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
-            })
-        }
+        Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(
+            DsError::Sql("read statements run through Workbook::query".into()),
+        ),
         Statement::Analyze { table } => {
             match table {
                 Some(name) => catalog.get_mut(&name)?.analyze()?,

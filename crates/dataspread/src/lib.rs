@@ -85,7 +85,7 @@ pub mod workbook;
 
 pub use bind::{BindModel, BindingMeta};
 pub use calc::CalcStats;
-pub use concurrent::{ReadSession, SharedWorkbook, WorkbookSnapshot};
+pub use concurrent::{SharedWorkbook, WorkbookSnapshot};
 pub use engine::QueryResult;
 pub use exec::ExecOptions;
 pub use sheet::{Sheet, StoreKind};
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn select_project_filter_order() {
-        let mut wb = setup();
+        let wb = setup();
         let (cols, rows) = wb
             .query("SELECT name, score FROM students WHERE score >= 90 ORDER BY score DESC")
             .unwrap();
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn select_without_from() {
-        let mut wb = Workbook::new();
+        let wb = Workbook::new();
         let (_, rows) = wb.query("SELECT 1 + 2 * 3, 'x' || 'y'").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(7), Value::text("xy")]]);
     }
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn subquery_in_from() {
-        let mut wb = setup();
+        let wb = setup();
         let (_, rows) = wb
             .query(
                 "SELECT n FROM (SELECT name AS n, score AS s FROM students) sub
@@ -337,13 +337,13 @@ mod tests {
     fn rangevalue_reads_live_grid() {
         let mut wb = setup();
         let s = wb.current_sheet();
-        wb.sheet_mut(s).set_input(a("B1"), "90").unwrap();
+        wb.set_input(s, a("B1"), "90").unwrap();
         let (_, rows) = wb
             .query("SELECT COUNT(*) FROM students WHERE score > RANGEVALUE(B1)")
             .unwrap();
         assert_eq!(rows, vec![vec![Value::Int(2)]]);
         // Update the cell; the same query sees the new value.
-        wb.sheet_mut(s).set_input(a("B1"), "95").unwrap();
+        wb.set_input(s, a("B1"), "95").unwrap();
         let (_, rows) = wb
             .query("SELECT COUNT(*) FROM students WHERE score > RANGEVALUE(B1)")
             .unwrap();
@@ -354,16 +354,16 @@ mod tests {
     fn rangetable_joins_grid_with_table() {
         let mut wb = setup();
         let s = wb.current_sheet();
-        wb.sheet_mut(s)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("bonus")],
-                    vec![Value::Int(1), Value::Int(5)],
-                    vec![Value::Int(3), Value::Int(7)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("bonus")],
+                vec![Value::Int(1), Value::Int(5)],
+                vec![Value::Int(3), Value::Int(7)],
+            ],
+        )
+        .unwrap();
         let (_, rows) = wb
             .query("SELECT name, bonus FROM students NATURAL JOIN RANGETABLE(A1:B3) ORDER BY name")
             .unwrap();
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn order_by_alias_and_ordinal() {
-        let mut wb = setup();
+        let wb = setup();
         let (_, rows) = wb
             .query("SELECT name AS n, score FROM students ORDER BY 2 DESC LIMIT 1")
             .unwrap();

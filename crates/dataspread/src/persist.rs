@@ -343,8 +343,8 @@ impl Workbook {
         // Re-render every bound region from the recovered tables (mirror
         // cells are never WAL-logged — they are derivable), then fold the
         // replayed edits into one recomputation pass (snapshot caches are
-        // fresh — checkpoints flush before encoding).
-        wb.sync_bindings()?;
+        // fresh — checkpoints only run at rest).
+        wb.refresh_bindings()?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.
         wb.checkpoint_into(dir, generation + 1, &vfs)?;
@@ -449,8 +449,9 @@ impl Workbook {
         generation: u64,
         vfs: &Arc<dyn Vfs>,
     ) -> DsResult<()> {
-        // Snapshot computed values, not stale caches.
-        self.flush_grid();
+        // Every caller runs at rest or right after a fold, so the snapshot
+        // holds computed values, not stale caches.
+        self.debug_assert_at_rest();
         let wb_meta = encode_workbook_meta(self);
         // When checkpointing the attached directory, hand the current WAL
         // to the snapshot writer: a post-rename failure must poison it so
@@ -509,7 +510,7 @@ mod tests {
         put_u32(&mut buf, 0);
         encode_value(&mut buf, &Value::Int(7));
         // No formula section, no pool capacity: that's the v1 layout.
-        let mut wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
+        let wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
         let s = wb.current_sheet();
         assert_eq!(wb.cell(s, CellAddr::new(0, 0)), Value::Int(7));
         assert_eq!(wb.sheet(s).formula_count(), 0);

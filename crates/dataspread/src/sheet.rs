@@ -316,39 +316,17 @@ impl Sheet {
     /// one fsync instead of one per cell, and replay applies the region
     /// atomically.
     pub fn set_region(&mut self, at: CellAddr, rows: &[Vec<Value>]) -> DsResult<()> {
-        let wal = self.wal.clone();
-        let in_txn = match &wal {
-            Some(w) => {
-                w.begin()?;
-                true
-            }
-            None => false,
-        };
-        let result = (|| -> DsResult<()> {
+        self.in_one_txn(|s| {
             for (dr, row) in rows.iter().enumerate() {
                 for (dc, v) in row.iter().enumerate() {
-                    self.set_value(
+                    s.set_value(
                         CellAddr::new(at.row + dr as u32, at.col + dc as u32),
                         v.clone(),
                     )?;
                 }
             }
             Ok(())
-        })();
-        if in_txn {
-            let w = wal.as_ref().expect("wal present when in_txn");
-            match &result {
-                Ok(()) => w.commit()?,
-                // Mirror `Workbook::execute`'s convention: the cells that
-                // did apply are already logged — commit them so recovery
-                // rebuilds exactly what memory saw. The original error
-                // outranks a commit I/O error.
-                Err(_) => {
-                    let _ = w.commit();
-                }
-            }
-        }
-        result
+        })
     }
 
     /// Write a list of literal cells as **one** WAL transaction (one fsync),
@@ -356,30 +334,29 @@ impl Sheet {
     /// workbook batches the unbound remainder of a partially-bound region
     /// write through this.
     pub fn set_cells(&mut self, writes: &[(CellAddr, Value)]) -> DsResult<()> {
-        let wal = self.wal.clone();
-        let in_txn = match &wal {
-            Some(w) => {
-                w.begin()?;
-                true
-            }
-            None => false,
-        };
-        let result = (|| -> DsResult<()> {
+        self.in_one_txn(|s| {
             for (addr, v) in writes {
-                self.set_value(*addr, v.clone())?;
+                s.set_value(*addr, v.clone())?;
             }
             Ok(())
-        })();
-        if in_txn {
-            let w = wal.as_ref().expect("wal present when in_txn");
-            match &result {
-                Ok(()) => w.commit()?,
-                // Same convention as `set_region`: applied cells are
-                // already logged — commit them so recovery rebuilds what
-                // memory saw; the original error outranks commit I/O.
-                Err(_) => {
-                    let _ = w.commit();
-                }
+        })
+    }
+
+    /// Run a batch of cell writes as one WAL transaction when durable.
+    fn in_one_txn(&mut self, body: impl FnOnce(&mut Sheet) -> DsResult<()>) -> DsResult<()> {
+        let Some(wal) = self.wal.clone() else {
+            return body(self);
+        };
+        wal.begin()?;
+        let result = body(self);
+        match &result {
+            Ok(()) => wal.commit()?,
+            // Mirror `Workbook::execute`'s convention: the cells that did
+            // apply are already logged — commit them so recovery rebuilds
+            // exactly what memory saw. The original error outranks a commit
+            // I/O error.
+            Err(_) => {
+                let _ = wal.commit();
             }
         }
         result

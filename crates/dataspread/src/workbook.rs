@@ -19,7 +19,7 @@ use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Ra
 use crate::bind::BindingRegistry;
 use crate::calc::CalcStats;
 use crate::engine::{self, QueryResult};
-use crate::exec::ExecOptions;
+use crate::exec::{analyze_select, explain_select, run_select, ExecCtx, ExecOptions};
 use crate::metrics::WbObs;
 use crate::sheet::{Sheet, StoreKind};
 
@@ -146,7 +146,6 @@ impl Workbook {
         self.by_name.insert(key, id);
         // The new name may resolve formerly broken `Name!ref` references.
         if self.sheets.iter().any(|s| s.formula_count() > 0) {
-            self.flush_grid();
             self.recompute_all();
         }
         // Adding a sheet is interface DDL: checkpoint so later WAL records
@@ -169,20 +168,11 @@ impl Workbook {
         &self.sheets[id.0]
     }
 
-    /// Raw mutable access to a sheet, bypassing the workbook's edit pipeline.
-    ///
-    /// Crate-internal on purpose: edits made through the returned `&mut
-    /// Sheet` skip binding routing (a write landing on a table-bound cell
-    /// will NOT become table DML) and leave formula recomputation pending
-    /// until the next workbook-level operation calls `flush_grid`. External
-    /// callers use the logged, recomputing APIs instead —
-    /// [`Workbook::set_input`], [`Workbook::set_value`],
-    /// [`Workbook::set_region`], and the structural-edit methods.
-    ///
-    /// Invariant for in-crate users: never write through this handle into a
-    /// cell covered by a table binding, and follow batches of raw edits with
-    /// `flush_grid` (every public mutating entry point already does).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Raw mutable access to a sheet, bypassing the workbook's edit pipeline
+    /// — for tests of batched raw edits only. Edits made through it skip
+    /// binding routing and leave formula recomputation pending; the test
+    /// must call `flush_grid` before any read, as WAL replay does.
+    #[cfg(test)]
     pub(crate) fn sheet_mut(&mut self, id: SheetId) -> &mut Sheet {
         &mut self.sheets[id.0]
     }
@@ -203,37 +193,56 @@ impl Workbook {
 
     // ---- grid edits (formula-aware, WAL-logged, recomputed) ---------------
 
+    /// Run the body of a `&mut` entry point, then fold the grid edits it
+    /// left pending into the dependency graph — on `Ok` and on `Err` alike.
+    /// Every public mutator that can touch a sheet goes through here, so a
+    /// workbook at rest never has recompute pending and the `&self` reads
+    /// need no flush of their own.
+    pub(crate) fn edit<R>(&mut self, body: impl FnOnce(&mut Workbook) -> R) -> R {
+        let out = body(self);
+        self.flush_grid();
+        out
+    }
+
+    /// The invariant [`Workbook::edit`] keeps, checked by every `&self`
+    /// read in debug builds: no sheet holds unfolded edits.
+    pub(crate) fn debug_assert_at_rest(&self) {
+        debug_assert!(
+            self.sheets.iter().all(|s| !s.has_pending()),
+            "a mutator returned with grid recompute pending"
+        );
+    }
+
     /// Type input into a cell: literals are recognized, `=`-prefixed input
     /// becomes a formula evaluated through the cross-sheet dependency graph.
     /// Dependent formulas recompute incrementally before this returns; the
     /// returned value is what the cell now displays.
     pub fn set_input(&mut self, sheet: SheetId, addr: CellAddr, input: &str) -> DsResult<Value> {
-        self.ensure_writable()?;
-        if let Some(bi) = self.binding_index_at(sheet, addr) {
-            if input.trim_start().starts_with('=') {
-                return Err(DsError::Interface(
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            match wb.binding_index_at(sheet, addr) {
+                Some(_) if input.trim_start().starts_with('=') => Err(DsError::Interface(
                     "a table-bound cell cannot hold a formula".into(),
-                ));
+                )),
+                Some(bi) => wb
+                    .bound_set_value(bi, sheet, addr, Value::from_input(input))
+                    .map(drop),
+                None => wb.sheets[sheet.0].set_input(addr, input).map(drop),
             }
-            self.bound_set_value(bi, sheet, addr, Value::from_input(input))?;
-            self.flush_grid();
-            return Ok(self.sheets[sheet.0].value(addr));
-        }
-        self.sheets[sheet.0].set_input(addr, input)?;
-        self.flush_grid();
+        })?;
         Ok(self.sheets[sheet.0].value(addr))
     }
 
     /// Write one literal cell value (replacing any formula there) and
     /// recompute its dependents.
     pub fn set_value(&mut self, sheet: SheetId, addr: CellAddr, v: Value) -> DsResult<Value> {
-        self.ensure_writable()?;
-        let old = match self.binding_index_at(sheet, addr) {
-            Some(bi) => self.bound_set_value(bi, sheet, addr, v)?,
-            None => self.sheets[sheet.0].set_value(addr, v)?,
-        };
-        self.flush_grid();
-        Ok(old)
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            match wb.binding_index_at(sheet, addr) {
+                Some(bi) => wb.bound_set_value(bi, sheet, addr, v),
+                None => wb.sheets[sheet.0].set_value(addr, v),
+            }
+        })
     }
 
     /// Fill a rectangular region with literal values and recompute.
@@ -243,103 +252,101 @@ impl Workbook {
         at: CellAddr,
         rows: &[Vec<Value>],
     ) -> DsResult<()> {
-        self.ensure_writable()?;
-        // Fast path when no cell of the target rectangle is bound; else
-        // route cell by cell so bound cells become table DML.
-        let width = rows.iter().map(Vec::len).max().unwrap_or(0) as u32;
-        let height = rows.len() as u32;
-        let routed = width > 0
-            && height > 0
-            && Range::from_bounds(at.row, at.col, at.row + height - 1, at.col + width - 1)
-                .iter_cells()
-                .any(|a| self.binding_index_at(sheet, a).is_some());
-        if routed {
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            // Fast path when no cell of the target rectangle is bound; else
+            // route cell by cell so bound cells become table DML.
+            let width = rows.iter().map(Vec::len).max().unwrap_or(0) as u32;
+            let height = rows.len() as u32;
+            let routed = width > 0
+                && height > 0
+                && Range::from_bounds(at.row, at.col, at.row + height - 1, at.col + width - 1)
+                    .iter_cells()
+                    .any(|a| wb.binding_index_at(sheet, a).is_some());
+            if !routed {
+                return wb.sheets[sheet.0].set_region(at, rows);
+            }
             // Bound cells become table DML one by one; the unbound
             // remainder still batches into a single WAL transaction.
             let mut plain: Vec<(CellAddr, Value)> = Vec::new();
             for (dr, row) in rows.iter().enumerate() {
                 for (dc, v) in row.iter().enumerate() {
                     let addr = CellAddr::new(at.row + dr as u32, at.col + dc as u32);
-                    match self.binding_index_at(sheet, addr) {
+                    match wb.binding_index_at(sheet, addr) {
                         Some(bi) => {
-                            self.bound_set_value(bi, sheet, addr, v.clone())?;
+                            wb.bound_set_value(bi, sheet, addr, v.clone())?;
                         }
                         None => plain.push((addr, v.clone())),
                     }
                 }
             }
-            self.sheets[sheet.0].set_cells(&plain)?;
-        } else {
-            self.sheets[sheet.0].set_region(at, rows)?;
-        }
-        self.flush_grid();
-        Ok(())
+            wb.sheets[sheet.0].set_cells(&plain)
+        })
     }
 
-    /// The value a cell displays, with any pending recomputation folded in.
-    pub fn cell(&mut self, sheet: SheetId, addr: CellAddr) -> Value {
-        self.flush_grid();
+    /// The value a cell displays (formula cells show their computed value).
+    pub fn cell(&self, sheet: SheetId, addr: CellAddr) -> Value {
+        self.debug_assert_at_rest();
         self.sheets[sheet.0].value(addr)
     }
 
-    /// The formula source at a cell, if it holds one. Pending structural
-    /// rewrites are folded in first, so the source shown always matches the
-    /// formula that evaluates.
-    pub fn formula_text(&mut self, sheet: SheetId, addr: CellAddr) -> Option<&str> {
-        self.flush_grid();
+    /// The formula source at a cell, if it holds one. Structural edits have
+    /// already rewritten it, so the source shown always matches the formula
+    /// that evaluates.
+    pub fn formula_text(&self, sheet: SheetId, addr: CellAddr) -> Option<&str> {
+        self.debug_assert_at_rest();
         self.sheets[sheet.0].formula_text(addr)
     }
 
     /// Insert blank rows: cells and formulas shift, references on every
     /// sheet are rewritten, affected formulas recompute.
     pub fn insert_rows(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
-        self.ensure_writable()?;
-        // Insertions inside a bound region become positional inserts of
-        // empty tuples on the backing table; validate the schema accepts
-        // them before the grid moves.
-        self.validate_insert_rows(sheet.0, at)?;
-        self.sheets[sheet.0].insert_rows(at, count)?;
-        self.bindings_after_insert_rows(sheet.0, at, count)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            // Insertions inside a bound region become positional inserts of
+            // empty tuples on the backing table; validate the schema accepts
+            // them before the grid moves.
+            wb.validate_insert_rows(sheet.0, at)?;
+            wb.sheets[sheet.0].insert_rows(at, count)?;
+            wb.bindings_after_insert_rows(sheet.0, at, count)
+        })
     }
 
     /// Delete rows: references into the span become `#REF!`, ranges shrink,
     /// affected formulas recompute.
     pub fn delete_rows(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
-        self.ensure_writable()?;
-        // Deletions overlapping a bound region delete the covered tuples
-        // from the backing table; plan against pre-edit coordinates.
-        let plan = self.plan_delete_rows(sheet.0, at, count);
-        self.sheets[sheet.0].delete_rows(at, count)?;
-        self.apply_delete_rows_plan(sheet.0, plan)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            // Deletions overlapping a bound region delete the covered tuples
+            // from the backing table; plan against pre-edit coordinates.
+            let plan = wb.plan_delete_rows(sheet.0, at, count);
+            wb.sheets[sheet.0].delete_rows(at, count)?;
+            wb.apply_delete_rows_plan(sheet.0, plan)
+        })
     }
 
     /// Insert blank columns (see [`Workbook::insert_rows`]).
     pub fn insert_cols(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
-        self.ensure_writable()?;
-        self.sheets[sheet.0].insert_cols(at, count)?;
-        self.bindings_after_insert_cols(sheet.0, at, count)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            wb.sheets[sheet.0].insert_cols(at, count)?;
+            wb.bindings_after_insert_cols(sheet.0, at, count)
+        })
     }
 
     /// Delete columns (see [`Workbook::delete_rows`]).
     pub fn delete_cols(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
-        self.ensure_writable()?;
-        let plan = self.plan_delete_cols(sheet.0, at, count);
-        self.sheets[sheet.0].delete_cols(at, count)?;
-        self.apply_delete_cols_plan(sheet.0, plan)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            let plan = wb.plan_delete_cols(sheet.0, at, count);
+            wb.sheets[sheet.0].delete_cols(at, count)?;
+            wb.apply_delete_cols_plan(sheet.0, plan)
+        })
     }
 
     /// Force a full recomputation of every formula in the workbook.
     pub fn recalculate(&mut self) {
-        self.flush_grid();
-        self.recompute_all();
+        self.edit(Workbook::recompute_all)
     }
 
     /// Cumulative recomputation counters (how many formula evaluations the
@@ -417,10 +424,57 @@ impl Workbook {
     }
 
     fn execute_stmt(&mut self, stmt: Statement) -> DsResult<QueryResult> {
+        if let Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) = stmt {
+            return self
+                .read_stmt(&stmt)
+                .map(|(columns, rows)| QueryResult::Rows { columns, rows });
+        }
+        let alter = matches!(stmt, Statement::AlterTable { .. });
+        let result = self.edit(|wb| wb.write_stmt(stmt));
+        if result.is_ok() && alter && self.store.is_some() {
+            // ALTER TABLE is still checkpoint-persisted (schema changes of
+            // existing tables are snapshot state, not logged — except the
+            // CREATE-carried schema). It runs after the fold, so the
+            // snapshot holds computed formula values.
+            self.checkpoint()?;
+        }
+        result
+    }
+
+    /// The one SQL read path, shared by [`Workbook::query`] and the read
+    /// arms of [`Workbook::execute`]: runs `SELECT`, `EXPLAIN` and `EXPLAIN
+    /// ANALYZE` against the workbook at rest. Any other statement kind is
+    /// rejected without running.
+    fn read_stmt(&self, stmt: &Statement) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
         let _span = self.obs.tracer.span("sql_execute");
-        // Fold pending grid edits first: RANGEVALUE/RANGETABLE must see
-        // computed formula results, not stale caches.
-        self.flush_grid();
+        self.debug_assert_at_rest();
+        let resolver = self.sheet_ctx();
+        let ctx = ExecCtx {
+            catalog: &self.catalog,
+            resolver: &resolver,
+            options: self.exec_options,
+            metrics: self.obs.exec.clone(),
+        };
+        let plan_rows = |lines: Vec<String>| {
+            let rows = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
+            (vec!["plan".to_string()], rows)
+        };
+        match stmt {
+            Statement::Select(sel) => run_select(&ctx, sel),
+            Statement::Explain(sel) => explain_select(&ctx, sel).map(plan_rows),
+            Statement::ExplainAnalyze(sel) => analyze_select(&ctx, sel).map(|(l, _)| plan_rows(l)),
+            other => Err(DsError::Sql(format!(
+                "query runs SELECT and EXPLAIN only, got {}",
+                statement_kind(other)
+            ))),
+        }
+    }
+
+    /// A mutating statement (DML, DDL, `ANALYZE`): one WAL transaction per
+    /// DML statement, the post-statement DDL hooks, and the binding
+    /// re-sync. Runs inside [`Workbook::edit`].
+    fn write_stmt(&mut self, stmt: Statement) -> DsResult<QueryResult> {
+        let _span = self.obs.tracer.span("sql_execute");
         let is_dml = matches!(
             stmt,
             Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
@@ -482,16 +536,9 @@ impl Workbook {
         if result.is_ok() {
             self.after_statement(&ddl_info)?;
             if is_dml || is_ddl {
-                // Table-side changes flow back into bound regions, and the
-                // formulas watching them recompute.
-                self.sync_bindings()?;
-                self.flush_grid();
-            }
-            if matches!(ddl_info, DdlInfo::Alter { .. }) && self.store.is_some() {
-                // ALTER TABLE is still checkpoint-persisted (schema changes
-                // of existing tables are snapshot state, not logged — except
-                // the CREATE-carried schema).
-                self.checkpoint()?;
+                // Table-side changes flow back into bound regions; the
+                // formulas watching them recompute when `edit` folds.
+                self.refresh_bindings()?;
             }
         }
         result
@@ -560,7 +607,7 @@ impl Workbook {
                         })?;
                     }
                     // Bindings on the dropped table are detached (values
-                    // frozen) by the sync_bindings pass that follows.
+                    // frozen) by the refresh_bindings pass that follows.
                 }
             }
             DdlInfo::Alter {
@@ -644,43 +691,31 @@ impl Workbook {
         &self.obs.tracer
     }
 
-    /// Execute and demand a row set (convenience for queries).
-    pub fn query(&mut self, sql: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
-        match self.execute(sql)? {
-            QueryResult::Rows { columns, rows } => Ok((columns, rows)),
-            other => Err(DsError::Sql(format!(
-                "statement returned {other:?}, not rows"
-            ))),
-        }
+    /// Run one read statement — `SELECT`, `EXPLAIN` or `EXPLAIN ANALYZE` —
+    /// and return `(column names, rows)`. Any other statement kind is
+    /// rejected before it runs; mutation goes through
+    /// [`Workbook::execute`].
+    pub fn query(&self, sql: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
+        self.read_stmt(&parse_statement(sql)?)
     }
 
     // ---- positional references ------------------------------------------
 
     /// The scalar at an A1 reference (`B2` or `Data!B2`) — the engine-side
-    /// implementation of `RANGEVALUE`. Pending recomputation is folded in
-    /// first, so formula cells read their computed value.
-    pub fn range_value(&mut self, a1: &str) -> DsResult<Value> {
-        self.flush_grid();
-        let ctx = SheetCtx {
-            sheets: &self.sheets,
-            by_name: &self.by_name,
-            current: self.current,
-        };
-        ctx.range_value(a1)
+    /// implementation of `RANGEVALUE`. Formula cells read their computed
+    /// value.
+    pub fn range_value(&self, a1: &str) -> DsResult<Value> {
+        self.debug_assert_at_rest();
+        self.sheet_ctx().range_value(a1)
     }
 
     /// A region as a relation (`A1:C10` or `Data!A1:C10`) — the engine-side
     /// implementation of `RANGETABLE`. Header row is used for column names
     /// when every cell of the first row is non-blank text; otherwise columns
     /// are named by their sheet letters.
-    pub fn range_table(&mut self, a1: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
-        self.flush_grid();
-        let ctx = SheetCtx {
-            sheets: &self.sheets,
-            by_name: &self.by_name,
-            current: self.current,
-        };
-        ctx.range_table(a1)
+    pub fn range_table(&self, a1: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
+        self.debug_assert_at_rest();
+        self.sheet_ctx().range_table(a1)
     }
 
     // ---- import / export -------------------------------------------------
@@ -697,55 +732,55 @@ impl Workbook {
         table: &str,
         headers: bool,
     ) -> DsResult<usize> {
-        self.ensure_writable()?;
-        // Imported cells must be computed values, not stale formula caches.
-        self.flush_grid();
-        let matrix = self.sheets[sheet.0].region(range);
-        let (names, data) = if headers {
-            if matrix.is_empty() {
-                return Err(DsError::Interface(
-                    "header import of an empty region".into(),
-                ));
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            let matrix = wb.sheets[sheet.0].region(range);
+            let (names, data) = if headers {
+                if matrix.is_empty() {
+                    return Err(DsError::Interface(
+                        "header import of an empty region".into(),
+                    ));
+                }
+                let names = header_names(&matrix[0], range.start.col)?;
+                (names, &matrix[1..])
+            } else {
+                let names: Vec<String> = (0..range.width())
+                    .map(|c| col_to_letters(range.start.col + c).to_ascii_lowercase())
+                    .collect();
+                (names, &matrix[..])
+            };
+            // Infer each column's type from the data actually present.
+            let mut cols = Vec::with_capacity(names.len());
+            for (i, name) in names.iter().enumerate() {
+                let dtype = DataType::infer_column(data.iter().map(|r| &r[i]));
+                cols.push(ColumnDef::new(name.clone(), dtype));
             }
-            let names = header_names(&matrix[0], range.start.col)?;
-            (names, &matrix[1..])
-        } else {
-            let names: Vec<String> = (0..range.width())
-                .map(|c| col_to_letters(range.start.col + c).to_ascii_lowercase())
-                .collect();
-            (names, &matrix[..])
-        };
-        // Infer each column's type from the data actually present.
-        let mut cols = Vec::with_capacity(names.len());
-        for (i, name) in names.iter().enumerate() {
-            let dtype = DataType::infer_column(data.iter().map(|r| &r[i]));
-            cols.push(ColumnDef::new(name.clone(), dtype));
-        }
-        let schema = Schema::new(cols)?;
-        self.catalog.create_table(table, schema)?;
-        let mut t = self.catalog.get_mut(table)?;
-        let mut n = 0;
-        for row in data {
-            let clean: Vec<Value> = row
-                .iter()
-                .map(|v| {
-                    if v.is_error() {
-                        Value::Empty
-                    } else {
-                        v.clone()
-                    }
-                })
-                .collect();
-            t.insert(clean)?;
-            n += 1;
-        }
-        drop(t);
-        // A new table is DDL: with a store attached, persist it (and its
-        // imported rows) via checkpoint, like CREATE TABLE through SQL.
-        if self.store.is_some() {
-            self.checkpoint()?;
-        }
-        Ok(n)
+            let schema = Schema::new(cols)?;
+            wb.catalog.create_table(table, schema)?;
+            let mut t = wb.catalog.get_mut(table)?;
+            let mut n = 0;
+            for row in data {
+                let clean: Vec<Value> = row
+                    .iter()
+                    .map(|v| {
+                        if v.is_error() {
+                            Value::Empty
+                        } else {
+                            v.clone()
+                        }
+                    })
+                    .collect();
+                t.insert(clean)?;
+                n += 1;
+            }
+            drop(t);
+            // A new table is DDL: with a store attached, persist it (and its
+            // imported rows) via checkpoint, like CREATE TABLE through SQL.
+            if wb.store.is_some() {
+                wb.checkpoint()?;
+            }
+            Ok(n)
+        })
     }
 
     /// Write a table's contents (optionally with a header row) into a sheet
@@ -757,33 +792,35 @@ impl Workbook {
         at: CellAddr,
         headers: bool,
     ) -> DsResult<Range> {
-        self.ensure_writable()?;
-        let t = self.catalog.get(table)?;
-        let width = t.schema().width() as u32;
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(t.row_count() + 1);
-        if headers {
-            rows.push(
-                t.schema()
-                    .columns()
-                    .iter()
-                    .map(|c| Value::text(c.name.clone()))
-                    .collect(),
-            );
-        }
-        for (_, row) in t.scan()? {
-            rows.push(row);
-        }
-        drop(t);
-        let height = rows.len().max(1) as u32;
-        self.sheets[sheet.0].set_region(at, &rows)?;
-        // Formulas watching the exported region recompute now.
-        self.flush_grid();
-        Ok(Range::from_bounds(
-            at.row,
-            at.col,
-            at.row + height - 1,
-            at.col + width.max(1) - 1,
-        ))
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            let t = wb.catalog.get(table)?;
+            let width = t.schema().width() as u32;
+            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(t.row_count() + 1);
+            if headers {
+                rows.push(
+                    t.schema()
+                        .columns()
+                        .iter()
+                        .map(|c| Value::text(c.name.clone()))
+                        .collect(),
+                );
+            }
+            for (_, row) in t.scan()? {
+                rows.push(row);
+            }
+            drop(t);
+            let height = rows.len().max(1) as u32;
+            // Formulas watching the exported region recompute when `edit`
+            // folds.
+            wb.sheets[sheet.0].set_region(at, &rows)?;
+            Ok(Range::from_bounds(
+                at.row,
+                at.col,
+                at.row + height - 1,
+                at.col + width.max(1) - 1,
+            ))
+        })
     }
 
     // ---- positional DML (the paper's signature operations) ----------------
@@ -797,23 +834,40 @@ impl Workbook {
         pos: usize,
         row: Vec<Value>,
     ) -> DsResult<RowKey> {
-        self.ensure_writable()?;
-        let key = self.catalog.get_mut(table)?.insert_at(pos, row)?;
-        // Bound regions displaying this table grow by one row.
-        self.sync_bindings()?;
-        self.flush_grid();
-        Ok(key)
+        self.edit(|wb| {
+            wb.ensure_writable()?;
+            let key = wb.catalog.get_mut(table)?.insert_at(pos, row)?;
+            // Bound regions displaying this table grow by one row.
+            wb.refresh_bindings()?;
+            Ok(key)
+        })
     }
 
     /// Fetch the window of rows displayed at `[pos, pos + count)` — the query
     /// the front-end issues as the user scrolls.
     pub fn fetch_window(
-        &mut self,
+        &self,
         table: &str,
         pos: usize,
         count: usize,
     ) -> DsResult<Vec<(RowKey, Vec<Value>)>> {
         self.catalog.get(table)?.scan_window(pos, count)
+    }
+}
+
+/// The SQL keyword naming a statement's kind, for error messages.
+fn statement_kind(stmt: &Statement) -> &'static str {
+    match stmt {
+        Statement::Select(_) => "SELECT",
+        Statement::Insert { .. } => "INSERT",
+        Statement::Update { .. } => "UPDATE",
+        Statement::Delete { .. } => "DELETE",
+        Statement::CreateTable { .. } => "CREATE TABLE",
+        Statement::DropTable { .. } => "DROP TABLE",
+        Statement::AlterTable { .. } => "ALTER TABLE",
+        Statement::Explain(_) => "EXPLAIN",
+        Statement::ExplainAnalyze(_) => "EXPLAIN ANALYZE",
+        Statement::Analyze { .. } => "ANALYZE",
     }
 }
 
@@ -876,8 +930,8 @@ pub(crate) struct SheetCtx<'a> {
 }
 
 impl Workbook {
-    /// A borrowed resolver over this workbook's sheets (read-only side of
-    /// the query path; see [`crate::concurrent::ReadSession`]).
+    /// A borrowed resolver over this workbook's sheets (the grid side of
+    /// the read path).
     pub(crate) fn sheet_ctx(&self) -> SheetCtx<'_> {
         SheetCtx {
             sheets: &self.sheets,
@@ -1030,7 +1084,7 @@ mod tests {
     fn range_value_reads_live_cells() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1).set_input(a("B2"), "42").unwrap();
+        wb.set_input(s1, a("B2"), "42").unwrap();
         assert_eq!(wb.range_value("B2").unwrap(), Value::Int(42));
         assert_eq!(wb.range_value("Sheet1!B2").unwrap(), Value::Int(42));
         assert_eq!(wb.range_value("Z99").unwrap(), Value::Empty);
@@ -1042,7 +1096,7 @@ mod tests {
     fn range_value_refuses_error_cells() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1).set_input(a("A1"), "#REF!").unwrap();
+        wb.set_input(s1, a("A1"), "#REF!").unwrap();
         assert!(wb.range_value("A1").is_err());
     }
 
@@ -1050,15 +1104,15 @@ mod tests {
     fn range_table_header_inference() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("name")],
-                    vec![Value::Int(1), Value::text("ada")],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("name")],
+                vec![Value::Int(1), Value::text("ada")],
+            ],
+        )
+        .unwrap();
         let (cols, rows) = wb.range_table("A1:B2").unwrap();
         assert_eq!(cols, vec!["id", "name"]);
         assert_eq!(rows, vec![vec![Value::Int(1), Value::text("ada")]]);
@@ -1072,16 +1126,16 @@ mod tests {
     fn import_infers_schema_and_order() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("score")],
-                    vec![Value::Int(1), Value::Float(3.5)],
-                    vec![Value::Int(2), Value::Int(4)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("score")],
+                vec![Value::Int(1), Value::Float(3.5)],
+                vec![Value::Int(2), Value::Int(4)],
+            ],
+        )
+        .unwrap();
         let n = wb
             .import_region(s1, Range::parse_a1("A1:B3").unwrap(), "scores", true)
             .unwrap();
@@ -1102,16 +1156,16 @@ mod tests {
     fn export_writes_grid() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("x")],
-                    vec![Value::Int(7)],
-                    vec![Value::Int(8)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("x")],
+                vec![Value::Int(7)],
+                vec![Value::Int(8)],
+            ],
+        )
+        .unwrap();
         wb.import_region(s1, Range::parse_a1("A1:A3").unwrap(), "t", true)
             .unwrap();
         let out = wb.add_sheet("Out").unwrap();

@@ -75,6 +75,28 @@ fn assert_converged(wb: &mut Workbook, id: u64) {
 
 // ---- rendering & cell-level sync ----------------------------------------
 
+/// `sync_bindings` after direct catalog DML re-renders the region and
+/// recomputes the formulas over it before returning: the raw cached value,
+/// read with no flush, is already current.
+#[test]
+fn sync_bindings_recomputes_formulas_over_the_region() {
+    let mut wb = Workbook::new();
+    wb.execute_script("CREATE TABLE n (v INT); INSERT INTO n VALUES (1), (2);")
+        .unwrap();
+    let s = wb.current_sheet();
+    wb.bind_table(s, a("A1"), "n", BindModel::Rom).unwrap();
+    wb.set_input(s, a("C1"), "=SUM(A1:A10)").unwrap();
+    assert_eq!(wb.sheet(s).value(a("C1")), Value::Int(3));
+    wb.catalog_mut()
+        .get_mut("n")
+        .unwrap()
+        .insert(vec![Value::Int(40)])
+        .unwrap();
+    wb.sync_bindings().unwrap();
+    assert_eq!(wb.sheet(s).value(a("A3")), Value::Int(40));
+    assert_eq!(wb.sheet(s).value(a("C1")), Value::Int(43));
+}
+
 #[test]
 fn tom_renders_header_and_rows() {
     let mut wb = setup();
@@ -616,7 +638,7 @@ fn unbind_freeze_is_durable() {
     assert!(wb.binding_meta(id).is_none());
     drop(wb);
 
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let s = wb.current_sheet();
     assert!(wb.binding_ids().is_empty(), "BindDrop replayed");
     assert_eq!(

@@ -108,7 +108,7 @@ fn explain_analyze_rejects_non_select() {
 
 #[test]
 fn executor_counters_track_scans_and_outputs() {
-    let mut wb = seeded();
+    let wb = seeded();
     let before = wb.metrics_snapshot();
     wb.query("SELECT k FROM ev WHERE grp = 1").unwrap();
     let after = wb.metrics_snapshot();
@@ -212,7 +212,7 @@ fn vfs_and_pool_metrics_appear_after_persistence() {
 
 #[test]
 fn exported_formats_cover_the_catalog() {
-    let mut wb = seeded();
+    let wb = seeded();
     wb.query("SELECT k FROM ev").unwrap();
     let text = wb.metrics_text();
     let json = wb.metrics_json();
@@ -235,7 +235,7 @@ fn exported_formats_cover_the_catalog() {
 
 #[test]
 fn spans_record_statement_execution() {
-    let mut wb = seeded();
+    let wb = seeded();
     wb.query("SELECT k FROM ev").unwrap();
     wb.query("SELECT COUNT(*) FROM grp").unwrap();
     let tracer = wb.tracer();

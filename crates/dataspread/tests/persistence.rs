@@ -3,9 +3,11 @@
 //! across checkpoints, WAL replay, and crash-shaped file states.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use dataspread::{StoreKind, Workbook};
 use dataspread_relstore::snapshot::{DATA_FILE, WAL_FILE};
+use dataspread_relstore::vfs::{FaultKind, FaultPlan, FaultVfs};
 use dataspread_types::{CellAddr, Range, Value};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -126,7 +128,7 @@ fn ddl_checkpoints_automatically() {
     wb.execute("INSERT INTO fresh VALUES (11)").unwrap();
     drop(wb);
 
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let (_, rows) = wb.query("SELECT grade FROM students WHERE id = 3").unwrap();
     assert_eq!(rows, vec![vec![Value::text("A")]]);
     let (_, rows) = wb.query("SELECT x FROM fresh").unwrap();
@@ -154,7 +156,7 @@ fn import_region_is_durable() {
         .unwrap();
     drop(wb);
 
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let (_, rows) = wb.query("SELECT v FROM kv ORDER BY k").unwrap();
     assert_eq!(
         rows,
@@ -197,7 +199,7 @@ fn failed_statement_recovers_to_what_memory_saw() {
         .unwrap();
     drop(wb);
 
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let (_, rows) = wb
         .query("SELECT id FROM students WHERE id >= 10 ORDER BY id")
         .unwrap();
@@ -212,6 +214,29 @@ fn failed_statement_recovers_to_what_memory_saw() {
         "disk must replay to exactly what live queries saw"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A grid edit that fails part-way still folds the cells it applied into
+/// the formulas watching them before it returns: the raw cached value,
+/// read with no flush, is already current.
+#[test]
+fn failed_region_write_recomputes_what_it_applied() {
+    let fault = FaultVfs::new(FaultPlan::quiet());
+    let mut wb = Workbook::new();
+    let s = wb.current_sheet();
+    wb.set_input(s, a("B1"), "=SUM(A1:A4)").unwrap();
+    wb.save_with_vfs("/store", Arc::new(fault.clone())).unwrap();
+    // The region is one WAL transaction: BEGIN, then one record per cell.
+    // Fail the third cell's record.
+    fault.set_plan(FaultPlan {
+        fail_nth_write: Some((fault.stats().writes + 3, FaultKind::WriteErr)),
+        ..FaultPlan::quiet()
+    });
+    let column: Vec<Vec<Value>> = (1..=4).map(|v| vec![Value::Int(v)]).collect();
+    assert!(wb.set_region(s, a("A1"), &column).is_err());
+    assert_eq!(wb.sheet(s).value(a("A2")), Value::Int(2));
+    assert_eq!(wb.sheet(s).value(a("A3")), Value::Empty);
+    assert_eq!(wb.sheet(s).value(a("B1")), Value::Int(3));
 }
 
 #[test]
@@ -235,7 +260,7 @@ fn saving_over_foreign_store_advances_generation() {
         pf.generation()
     );
     drop(pf);
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let (_, rows) = wb.query("SELECT COUNT(*) FROM other").unwrap();
     assert_eq!(rows, vec![vec![Value::Int(0)]]);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -370,7 +395,7 @@ fn sheet_edit_wal_truncation_recovers_a_prefix() {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(base.join(DATA_FILE), dir.join(DATA_FILE)).unwrap();
         std::fs::write(dir.join(WAL_FILE), &wal_bytes[..cut]).unwrap();
-        let mut wb = Workbook::open(&dir).unwrap();
+        let wb = Workbook::open(&dir).unwrap();
         let s = wb.current_sheet();
         let state: Vec<Value> = probe.iter().map(|p| wb.cell(s, a(p))).collect();
         assert!(
@@ -406,7 +431,7 @@ fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
     }
     drop(wb);
 
-    let mut wb = Workbook::open(&crashed).unwrap();
+    let wb = Workbook::open(&crashed).unwrap();
     let s = wb.current_sheet();
     assert_eq!(
         wb.formula_text(s, a("B1")),
