@@ -372,13 +372,11 @@ impl Workbook {
             let old_name = t.schema().column(ci).name.clone();
             if !old_name.eq_ignore_ascii_case(&new_name) {
                 t.rename_column(&old_name, &new_name)?;
+                // A rename is DDL: schema changes persist via checkpoint.
+                self.checkpoint_due = true;
             }
             drop(t);
             self.refresh_binding_slot(bi, true)?;
-            // A rename is DDL: schema changes persist via checkpoint.
-            if self.store.is_some() {
-                self.checkpoint()?;
-            }
             return Ok(old);
         }
         let pos = (addr.row - meta.row) as usize - meta.model.has_header() as usize;
@@ -598,7 +596,7 @@ impl Workbook {
     /// backing table (typed [`DataType::Any`], lazily defaulted — zero data
     /// pages touched under the hybrid layout), spliced into the display
     /// order at the inserted position. Schema changes checkpoint when the
-    /// workbook is durable.
+    /// caller's `edit` folds.
     pub(crate) fn bindings_after_insert_cols(
         &mut self,
         sheet: usize,
@@ -606,7 +604,6 @@ impl Workbook {
         count: u32,
     ) -> DsResult<()> {
         let name = self.sheets[sheet].name().to_string();
-        let mut schema_changed = false;
         // As with row inserts: one grid-column insert adds columns to a
         // backing table once, through the first containing binding.
         let mut translated: std::collections::HashSet<String> = std::collections::HashSet::new();
@@ -642,16 +639,12 @@ impl Workbook {
                     // Sibling full-width bindings gain it at their edge.
                     self.bindings
                         .on_column_added(&meta.table, idx, Some(meta.id));
-                    schema_changed = true;
+                    self.checkpoint_due = true;
                 }
             }
             self.bindings.bindings[i].last_rect = None;
         }
-        self.refresh_sheet_bindings(sheet)?;
-        if schema_changed && self.store.is_some() {
-            self.checkpoint()?;
-        }
-        Ok(())
+        self.refresh_sheet_bindings(sheet)
     }
 
     /// Plan a column deletion: which table columns the span covers per
@@ -721,14 +714,13 @@ impl Workbook {
 
     /// Apply a column-deletion plan after the grid op: TOM/ROM overlaps drop
     /// the table columns (`DROP COLUMN`), COM overlaps narrow the
-    /// projection, full covers detach. Schema changes checkpoint when
-    /// durable.
+    /// projection, full covers detach. Schema changes checkpoint when the
+    /// caller's `edit` folds.
     pub(crate) fn apply_delete_cols_plan(
         &mut self,
         sheet: usize,
         plans: Vec<ColDeletePlan>,
     ) -> DsResult<()> {
-        let mut schema_changed = false;
         for plan in plans {
             let Some(i) = self.bindings.index_of(plan.id) else {
                 continue;
@@ -756,7 +748,7 @@ impl Workbook {
                     // were NOT touched by this sheet's grid op — clear them.
                     self.detach_binding_clear(id)?;
                 }
-                schema_changed = true;
+                self.checkpoint_due = true;
             }
             if let Some(i) = self.bindings.index_of(plan.id) {
                 let b = &mut self.bindings.bindings[i];
@@ -771,11 +763,7 @@ impl Workbook {
                 }
             }
         }
-        self.refresh_sheet_bindings(sheet)?;
-        if schema_changed && self.store.is_some() {
-            self.checkpoint()?;
-        }
-        Ok(())
+        self.refresh_sheet_bindings(sheet)
     }
 
     // ---- table → sheet: refresh ------------------------------------------

@@ -222,6 +222,7 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         obs: WbObs::default(),
         clock,
         bindings,
+        checkpoint_due: false,
     })
 }
 
@@ -449,8 +450,8 @@ impl Workbook {
         generation: u64,
         vfs: &Arc<dyn Vfs>,
     ) -> DsResult<()> {
-        // Every caller runs at rest or right after a fold, so the snapshot
-        // holds computed values, not stale caches.
+        // Every caller runs at rest or right after `edit`'s fold, so the
+        // snapshot holds rewritten references and computed values.
         self.debug_assert_at_rest();
         let wb_meta = encode_workbook_meta(self);
         // When checkpointing the attached directory, hand the current WAL

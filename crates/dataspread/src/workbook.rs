@@ -72,6 +72,11 @@ pub struct Workbook {
     pub(crate) clock: Arc<AtomicU64>,
     /// Table-bound sheet regions (paper §2.1 TOM/ROM/COM; see `crate::bind`).
     pub(crate) bindings: BindingRegistry,
+    /// Set by an edit body that changed a table schema. Schema changes
+    /// persist by checkpoint, not through the WAL; [`Workbook::edit`] takes
+    /// that checkpoint after its fold, so the snapshot holds rewritten
+    /// references and computed formula values.
+    pub(crate) checkpoint_due: bool,
 }
 
 impl Default for Workbook {
@@ -99,6 +104,7 @@ impl Workbook {
             obs: WbObs::default(),
             clock: Arc::new(AtomicU64::new(1)),
             bindings: BindingRegistry::default(),
+            checkpoint_due: false,
         };
         wb.add_sheet("Sheet1")
             .expect("fresh workbook accepts a sheet");
@@ -197,10 +203,19 @@ impl Workbook {
     /// left pending into the dependency graph — on `Ok` and on `Err` alike.
     /// Every public mutator that can touch a sheet goes through here, so a
     /// workbook at rest never has recompute pending and the `&self` reads
-    /// need no flush of their own.
-    pub(crate) fn edit<R>(&mut self, body: impl FnOnce(&mut Workbook) -> R) -> R {
+    /// need no flush of their own. A body that changed a table schema on a
+    /// durable workbook is checkpointed after the fold; the body's own
+    /// error outranks the checkpoint's.
+    pub(crate) fn edit<R>(
+        &mut self,
+        body: impl FnOnce(&mut Workbook) -> DsResult<R>,
+    ) -> DsResult<R> {
         let out = body(self);
         self.flush_grid();
+        if std::mem::take(&mut self.checkpoint_due) && self.store.is_some() {
+            let saved = self.checkpoint();
+            return out.and_then(|v| saved.map(|()| v));
+        }
         out
     }
 
@@ -346,7 +361,12 @@ impl Workbook {
 
     /// Force a full recomputation of every formula in the workbook.
     pub fn recalculate(&mut self) {
-        self.edit(Workbook::recompute_all)
+        // Cannot fail: a recompute changes no schema, so `edit` takes no
+        // checkpoint.
+        let _ = self.edit(|wb| {
+            wb.recompute_all();
+            Ok(())
+        });
     }
 
     /// Cumulative recomputation counters (how many formula evaluations the
@@ -429,16 +449,7 @@ impl Workbook {
                 .read_stmt(&stmt)
                 .map(|(columns, rows)| QueryResult::Rows { columns, rows });
         }
-        let alter = matches!(stmt, Statement::AlterTable { .. });
-        let result = self.edit(|wb| wb.write_stmt(stmt));
-        if result.is_ok() && alter && self.store.is_some() {
-            // ALTER TABLE is still checkpoint-persisted (schema changes of
-            // existing tables are snapshot state, not logged — except the
-            // CREATE-carried schema). It runs after the fold, so the
-            // snapshot holds computed formula values.
-            self.checkpoint()?;
-        }
-        result
+        self.edit(|wb| wb.write_stmt(stmt))
     }
 
     /// The one SQL read path, shared by [`Workbook::query`] and the read
@@ -577,7 +588,7 @@ impl Workbook {
     /// Post-statement hooks: WAL-log successful CREATE/DROP TABLE (the DDL
     /// redo records that replace the old forced checkpoint), attach fresh
     /// tables to the durable store, and adjust binding column metadata for
-    /// ALTER TABLE.
+    /// ALTER TABLE (and mark it due for a checkpoint).
     fn after_statement(&mut self, info: &DdlInfo) -> DsResult<()> {
         match info {
             DdlInfo::Create { table, existed } => {
@@ -615,6 +626,9 @@ impl Workbook {
                 dropped_col,
                 added_col,
             } => {
+                // Schema changes of existing tables are snapshot state, not
+                // logged: `edit` checkpoints them after its fold.
+                self.checkpoint_due = true;
                 if let Some(idx) = dropped_col {
                     let emptied = self.bindings.on_column_dropped(table, *idx);
                     for id in emptied {
@@ -775,10 +789,8 @@ impl Workbook {
             }
             drop(t);
             // A new table is DDL: with a store attached, persist it (and its
-            // imported rows) via checkpoint, like CREATE TABLE through SQL.
-            if wb.store.is_some() {
-                wb.checkpoint()?;
-            }
+            // imported rows) via checkpoint.
+            wb.checkpoint_due = true;
             Ok(n)
         })
     }

@@ -649,6 +649,113 @@ fn unbind_freeze_is_durable() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Table `n(a INT, b INT)` bound TOM at A1 of a saved workbook, watched by
+/// a same-sheet `SUM` over the region (E1), a reference to the header cell
+/// B1 (E2) and a cross-sheet `SUM` into the region (`Other!A1`).
+fn saved_watched_binding(tag: &str) -> (Workbook, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("dsp-bind-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut wb = Workbook::new();
+    wb.execute_script(
+        "CREATE TABLE n (a INT, b INT);
+         INSERT INTO n VALUES (1, 10), (2, 20), (3, 30);",
+    )
+    .unwrap();
+    let s = wb.current_sheet();
+    let other = wb.add_sheet("Other").unwrap();
+    wb.bind_table(s, a("A1"), "n", BindModel::Tom).unwrap();
+    wb.set_input(s, a("E1"), "=SUM(A2:B4)").unwrap();
+    wb.set_input(s, a("E2"), "=B1").unwrap();
+    wb.set_input(other, a("A1"), "=SUM(Sheet1!A2:B4)").unwrap();
+    wb.save(&dir).unwrap();
+    (wb, dir)
+}
+
+/// Crash `wb` and reopen `dir`: the watched formulas keep the text and
+/// value the live workbook showed, `expect` gives them, and a full
+/// recalculation agrees. Grid schema edits persist by checkpoint, so this
+/// fails if the snapshot was taken before the edit's recompute folded.
+fn assert_reopen_keeps_folded_formulas(
+    wb: Workbook,
+    dir: &std::path::Path,
+    expect: &[(&str, &str, &str, Value)],
+) {
+    let watched = |wb: &Workbook| -> Vec<(Option<String>, Value)> {
+        expect
+            .iter()
+            .map(|&(sheet, cell, _, _)| {
+                let s = wb.sheet_id(sheet).unwrap();
+                (
+                    wb.formula_text(s, a(cell)).map(str::to_string),
+                    wb.cell(s, a(cell)),
+                )
+            })
+            .collect()
+    };
+    let live = watched(&wb);
+    let want: Vec<(Option<String>, Value)> = expect
+        .iter()
+        .map(|(_, _, text, v)| (Some(text.to_string()), v.clone()))
+        .collect();
+    assert_eq!(live, want, "live workbook");
+    drop(wb); // crash
+    let mut wb = Workbook::open(dir).unwrap();
+    assert_eq!(watched(&wb), want, "reopened workbook");
+    wb.recalculate();
+    assert_eq!(watched(&wb), want, "reopened values equal a recalculation");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn header_rename_on_saved_workbook_persists_folded_formulas() {
+    let (mut wb, dir) = saved_watched_binding("rename");
+    let s = wb.current_sheet();
+    wb.set_input(s, a("B1"), "bee").unwrap();
+    assert_reopen_keeps_folded_formulas(
+        wb,
+        &dir,
+        &[
+            ("Sheet1", "E1", "=SUM(A2:B4)", Value::Int(66)),
+            ("Sheet1", "E2", "=B1", Value::text("bee")),
+            ("Other", "A1", "=SUM(Sheet1!A2:B4)", Value::Int(66)),
+        ],
+    );
+}
+
+#[test]
+fn insert_cols_in_region_on_saved_workbook_persists_shifted_refs() {
+    let (mut wb, dir) = saved_watched_binding("inscols");
+    let s = wb.current_sheet();
+    wb.insert_cols(s, 1, 1).unwrap();
+    assert_eq!(wb.catalog().get("n").unwrap().schema().width(), 3);
+    assert_reopen_keeps_folded_formulas(
+        wb,
+        &dir,
+        &[
+            ("Sheet1", "F1", "=SUM(A2:C4)", Value::Int(66)),
+            ("Sheet1", "F2", "=C1", Value::text("b")),
+            ("Other", "A1", "=SUM(Sheet1!A2:C4)", Value::Int(66)),
+        ],
+    );
+}
+
+#[test]
+fn delete_cols_in_region_on_saved_workbook_persists_shrunk_refs() {
+    let (mut wb, dir) = saved_watched_binding("delcols");
+    let s = wb.current_sheet();
+    wb.delete_cols(s, 0, 1).unwrap();
+    assert_eq!(wb.catalog().get("n").unwrap().schema().width(), 1);
+    assert_reopen_keeps_folded_formulas(
+        wb,
+        &dir,
+        &[
+            ("Sheet1", "D1", "=SUM(A2:A4)", Value::Int(60)),
+            ("Sheet1", "D2", "=A1", Value::text("b")),
+            ("Other", "A1", "=SUM(Sheet1!A2:A4)", Value::Int(60)),
+        ],
+    );
+}
+
 #[test]
 fn sibling_bindings_on_one_table_stay_in_sync() {
     let mut wb = setup();
