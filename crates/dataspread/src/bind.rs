@@ -11,9 +11,10 @@
 //!   become positional inserts/deletes (O(log n) via the table's counted
 //!   B-tree) or schema changes instead of breaking the mapping.
 //! * **table → sheet**: SQL DML/DDL against a bound table re-renders the
-//!   region (diffed cell by cell, so untouched cells cost nothing
-//!   downstream) and invalidates dependent formulas through `calc`, so
-//!   `=SUM` over a bound region recomputes after an `INSERT`.
+//!   region (diffed against its current cells, read by ordered scan a tile
+//!   band at a time; only changed cells are written, so untouched cells
+//!   cost nothing downstream) and invalidates dependent formulas through
+//!   `calc`, so `=SUM` over a bound region recomputes after an `INSERT`.
 //!
 //! The durable metadata ([`BindingMeta`]) lives in `relstore::binding`;
 //! bindings ride checkpoints as a workbook-meta section and the WAL as
@@ -34,12 +35,15 @@
 //!   binding, freezing the last rendered values as plain literal cells
 //!   (WAL-logged so the freeze is durable).
 
+use std::ops::ControlFlow;
+
 use dataspread_relstore::wal::WalOp;
 use dataspread_relstore::RowKey;
 use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Range, Value};
 
 pub use dataspread_relstore::{BindModel, BindingMeta};
 
+use crate::sheet::Sheet;
 use crate::workbook::{SheetId, Workbook};
 
 /// One live binding: the durable metadata plus the engine-side refresh
@@ -567,18 +571,15 @@ impl Workbook {
                 // Clear what survived the grid delete: pre-edit rect rows
                 // outside the span, at their post-shift positions.
                 if let Some(r) = rect {
-                    let width = r.width();
-                    for row in r.start.row..=r.end.row {
-                        if row >= at && row < at + count {
-                            continue; // deleted by the grid op
-                        }
-                        let new_r = if row >= at + count { row - count } else { row };
-                        for dc in 0..width {
-                            let addr = CellAddr::new(new_r, r.start.col + dc);
-                            if !self.sheets[sheet].value(addr).is_empty() {
-                                self.sheets[sheet].write_bound(addr, Value::Empty);
-                            }
-                        }
+                    let (c0, c1) = (r.start.col, r.end.col);
+                    let above = (r.start.row < at)
+                        .then(|| Range::from_bounds(r.start.row, c0, r.end.row.min(at - 1), c1));
+                    let below = (r.end.row >= at + count).then(|| {
+                        let top = r.start.row.max(at + count) - count;
+                        Range::from_bounds(top, c0, r.end.row - count, c1)
+                    });
+                    for band in above.into_iter().chain(below) {
+                        clear_region(&mut self.sheets[sheet], band, None);
                     }
                 }
                 self.drop_binding_logged(id)?;
@@ -866,40 +867,34 @@ impl Workbook {
             return Ok(());
         }
         self.obs.bind_refreshes.bump();
-        let mut diffed: u64 = 0;
         let cols: Vec<usize> = meta.cols.iter().map(|&c| c as usize).collect();
         let sheet = &mut self.sheets[sheet_idx];
+        let mut diffed: u64 = 0;
         if header {
-            for (slot, &ci) in cols.iter().enumerate() {
-                let addr = CellAddr::new(meta.row, meta.col + slot as u32);
-                let v = Value::text(t.schema().column(ci).name.clone());
-                if sheet.value(addr) != v {
-                    sheet.write_bound(addr, v);
-                    diffed += 1;
-                }
-            }
+            let names: Vec<Value> = cols
+                .iter()
+                .map(|&ci| Value::text(t.schema().column(ci).name.clone()))
+                .collect();
+            let at = (meta.row, meta.col);
+            diffed += diff_rows(sheet, at, cols.len(), &[names], |r, j| &r[j]);
         }
-        let data_start = meta.row + header as u32;
-        for (pos, item) in t.iter_rows_sparse(Some(&cols)).enumerate() {
-            let (_, row) = item?;
-            for (slot, &ci) in cols.iter().enumerate() {
-                let addr = CellAddr::new(data_start + pos as u32, meta.col + slot as u32);
-                let v = &row[ci];
-                if &sheet.value(addr) != v {
-                    sheet.write_bound(addr, v.clone());
-                    diffed += 1;
-                }
+        // Data rows, one chunk of table rows per scan of the mirror cells.
+        let mut top = meta.row + header as u32;
+        let mut chunk: Vec<Vec<Value>> = Vec::with_capacity(DIFF_ROWS as usize);
+        let mut rows = t.iter_rows_sparse(Some(&cols)).peekable();
+        while rows.peek().is_some() {
+            chunk.clear();
+            for item in rows.by_ref().take(DIFF_ROWS as usize) {
+                chunk.push(item?.1);
             }
+            let at = (top, meta.col);
+            diffed += diff_rows(sheet, at, cols.len(), &chunk, |r, j| &r[cols[j]]);
+            top += chunk.len() as u32;
         }
         // Shrink: clear cells the previous render covered but this one
         // does not.
         if let Some(old) = last_rect {
-            for addr in old.iter_cells() {
-                if rect.is_none_or(|r| !r.contains(addr)) && !sheet.value(addr).is_empty() {
-                    sheet.write_bound(addr, Value::Empty);
-                    diffed += 1;
-                }
-            }
+            diffed += clear_region(sheet, old, rect);
         }
         self.obs.bind_cells_diffed.add(diffed);
         let b = &mut self.bindings.bindings[i];
@@ -920,11 +915,7 @@ impl Workbook {
                 .last_rect
                 .or_else(|| self.meta_rect(&meta));
             if let (Some(rect), Some(si)) = (rect, self.sheet_index(&meta.sheet)) {
-                for addr in rect.iter_cells() {
-                    if !self.sheets[si].value(addr).is_empty() {
-                        self.sheets[si].write_bound(addr, Value::Empty);
-                    }
-                }
+                clear_region(&mut self.sheets[si], rect, None);
             }
         }
         self.drop_binding_logged(id)
@@ -959,6 +950,82 @@ impl Workbook {
             self.sheets[sheet_idx].set_region(rect.start, &matrix)?;
         }
         self.drop_binding_logged(id)
+    }
+}
+
+/// Display rows a re-render reads per scan of the mirror cells: one tile
+/// band, so what a diff holds at once stays bounded whatever the region's
+/// size.
+const DIFF_ROWS: u32 = 32;
+
+/// Diff rendered rows into the `width`-column mirror region whose top-left
+/// is `(top, col)`: `rows[k]` renders display row `top + k`, and
+/// `value(row, j)` is its value in column `col + j`. One ordered scan reads
+/// the current cells; only cells whose value differs are written (and so
+/// marked dirty), row-major. Returns the number written.
+fn diff_rows<R>(
+    sheet: &mut Sheet,
+    (top, col): (u32, u32),
+    width: usize,
+    rows: &[R],
+    value: impl Fn(&R, usize) -> &Value,
+) -> u64 {
+    if rows.is_empty() || width == 0 {
+        return 0;
+    }
+    // Per slot, row-major: does the cell already show its rendered value?
+    // An absent cell matches an empty render.
+    let mut matches: Vec<bool> = rows
+        .iter()
+        .flat_map(|r| (0..width).map(|j| value(r, j).is_empty()))
+        .collect();
+    let area = Range::from_bounds(
+        top,
+        col,
+        top + rows.len() as u32 - 1,
+        col + width as u32 - 1,
+    );
+    let _ = sheet.store().visit_ordered(area, &mut |a, v| {
+        let (k, j) = ((a.row - top) as usize, (a.col - col) as usize);
+        matches[k * width + j] = *v == *value(&rows[k], j);
+        ControlFlow::Continue(())
+    });
+    let mut written = 0;
+    for (i, _) in matches.iter().enumerate().filter(|(_, ok)| !**ok) {
+        let (k, j) = (i / width, i % width);
+        let addr = CellAddr::new(top + k as u32, col + j as u32);
+        sheet.write_bound(addr, value(&rows[k], j).clone());
+        written += 1;
+    }
+    written
+}
+
+/// Clear the mirror cells of `area` that `keep` does not cover, reading
+/// the current cells by ordered scan [`DIFF_ROWS`] rows at a time. Returns
+/// the number cleared.
+fn clear_region(sheet: &mut Sheet, area: Range, keep: Option<Range>) -> u64 {
+    let mut cleared = 0;
+    let mut top = area.start.row;
+    loop {
+        let bottom = area.end.row.min(top.saturating_add(DIFF_ROWS - 1));
+        let chunk = Range::from_bounds(top, area.start.col, bottom, area.end.col);
+        if !keep.is_some_and(|k| k.contains_range(&chunk)) {
+            let mut doomed = Vec::new();
+            let _ = sheet.store().visit_ordered(chunk, &mut |a, _| {
+                if keep.is_none_or(|k| !k.contains(a)) {
+                    doomed.push(a);
+                }
+                ControlFlow::Continue(())
+            });
+            cleared += doomed.len() as u64;
+            for a in doomed {
+                sheet.write_bound(a, Value::Empty);
+            }
+        }
+        if bottom == area.end.row {
+            return cleared;
+        }
+        top = bottom + 1;
     }
 }
 

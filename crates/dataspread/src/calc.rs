@@ -26,6 +26,7 @@
 //! are not recomputed" property, not just final values.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 use dataspread_formula::{CellProvider, GridOp};
 use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
@@ -45,15 +46,16 @@ pub struct CalcStats {
 /// A formula cell's identity: (sheet index, position).
 type CellId = (usize, CellAddr);
 
-/// Cross-sheet cell resolution over the workbook's cached values.
+/// Cross-sheet cell resolution over the workbook's cached values. Range
+/// arguments read through the sheet's cell store by ordered scan.
 pub(crate) struct WbCells<'a> {
     sheets: &'a [Sheet],
     by_name: &'a HashMap<String, usize>,
     home: usize,
 }
 
-impl CellProvider for WbCells<'_> {
-    fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
+impl WbCells<'_> {
+    fn sheet(&self, sheet: &SheetRef) -> Result<&Sheet, CellError> {
         let idx = match sheet {
             SheetRef::Current => self.home,
             SheetRef::Named(n) => *self
@@ -61,7 +63,23 @@ impl CellProvider for WbCells<'_> {
                 .get(&n.to_ascii_lowercase())
                 .ok_or(CellError::Ref)?,
         };
-        Ok(self.sheets[idx].value(addr))
+        Ok(&self.sheets[idx])
+    }
+}
+
+impl CellProvider for WbCells<'_> {
+    fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
+        Ok(self.sheet(sheet)?.value(addr))
+    }
+
+    fn for_each_cell(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        let _ = self.sheet(sheet)?.store().visit_ordered(range, f);
+        Ok(())
     }
 }
 

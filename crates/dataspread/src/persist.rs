@@ -384,7 +384,7 @@ impl Workbook {
                         s.set_value(addr, v.clone())?;
                     }
                     SheetCellContent::Formula(src) => {
-                        s.set_formula(addr, src)?;
+                        s.store_formula(addr, src)?;
                     }
                 }
             }

@@ -10,12 +10,14 @@
 //! display value in the cell store — so every read path (`RANGEVALUE`,
 //! `RANGETABLE`, region scans) sees computed results with zero formula
 //! awareness. Recomputation is the workbook's job: the sheet only records
-//! which cells changed (`Sheet::take_pending`) and evaluates a freshly
-//! typed formula once against itself. When the owning workbook is durable,
+//! which cells changed (`Sheet::take_pending`); a formula typed into a lone
+//! sheet is evaluated once against the sheet itself, while a workbook
+//! leaves it to its recompute fold. When the owning workbook is durable,
 //! every cell and structural edit is WAL-logged (the logical input, not the
 //! computed value) so grid edits survive a crash between checkpoints.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -116,13 +118,28 @@ impl std::fmt::Debug for Sheet {
 /// cross-sheet provider when it recomputes.
 struct LocalCells<'a>(&'a Sheet);
 
+impl LocalCells<'_> {
+    fn sheet(&self, sheet: &SheetRef) -> Result<&Sheet, CellError> {
+        match sheet {
+            SheetRef::Named(n) if !n.eq_ignore_ascii_case(&self.0.name) => Err(CellError::Ref),
+            _ => Ok(self.0),
+        }
+    }
+}
+
 impl CellProvider for LocalCells<'_> {
     fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
-        match sheet {
-            SheetRef::Current => Ok(self.0.value(addr)),
-            SheetRef::Named(n) if n.eq_ignore_ascii_case(&self.0.name) => Ok(self.0.value(addr)),
-            SheetRef::Named(_) => Err(CellError::Ref),
-        }
+        Ok(self.sheet(sheet)?.value(addr))
+    }
+
+    fn for_each_cell(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        let _ = self.sheet(sheet)?.cells.visit_ordered(range, f);
+        Ok(())
     }
 }
 
@@ -250,7 +267,7 @@ impl Sheet {
     ///
     /// On a lone sheet the formula is evaluated once, immediately, against
     /// this sheet (cross-sheet references read `#REF!`). Inside a workbook,
-    /// use [`crate::Workbook::set_input`] — it re-evaluates through the
+    /// use [`crate::Workbook::set_input`] — it evaluates through the
     /// cross-sheet dependency graph and recomputes dependents.
     pub fn set_input(&mut self, addr: CellAddr, input: &str) -> DsResult<Value> {
         if input.trim_start().starts_with('=') {
@@ -264,12 +281,26 @@ impl Sheet {
     /// Store formula source at `addr` and evaluate it once against this
     /// sheet. Returns the displayed value.
     pub fn set_formula(&mut self, addr: CellAddr, src: &str) -> DsResult<Value> {
-        self.log_cell(addr, SheetCellContent::Formula(src.to_string()))?;
-        let ast = Formula::parse(src).ok();
-        let v = match &ast {
+        self.store_formula(addr, src)?;
+        let v = match self.formula_ast(addr) {
             Some(f) => f.eval(&LocalCells(self)),
             None => Value::Error(CellError::Name),
         };
+        self.store_write(addr, v.clone());
+        Ok(v)
+    }
+
+    /// Store formula source at `addr` and mark it pending, without
+    /// evaluating it: the owning workbook's recompute fold evaluates it
+    /// through the cross-sheet provider (typed input, WAL replay).
+    /// Unparseable source caches `#NAME?` here, as the fold has no AST to
+    /// evaluate.
+    pub(crate) fn store_formula(&mut self, addr: CellAddr, src: &str) -> DsResult<()> {
+        self.log_cell(addr, SheetCellContent::Formula(src.to_string()))?;
+        let ast = Formula::parse(src).ok();
+        if ast.is_none() {
+            self.store_write(addr, Value::Error(CellError::Name));
+        }
         self.formulas.insert(
             addr,
             CellFormula {
@@ -279,8 +310,7 @@ impl Sheet {
             },
         );
         self.pending.cells.insert(addr);
-        self.store_write(addr, v.clone());
-        Ok(v)
+        Ok(())
     }
 
     /// The formula source at `addr`, if the cell holds one.
@@ -549,18 +579,15 @@ impl Sheet {
         for k in keys {
             put_u64(buf, k);
         }
-        let mut cells: Vec<(CellAddr, Value)> = Vec::with_capacity(self.cells.cell_count());
+        // Row-major order keeps snapshots byte-stable.
+        put_u64(buf, self.cells.cell_count() as u64);
         if let Some(bounds) = self.cells.used_bounds() {
-            self.cells
-                .for_each_in_range(bounds, &mut |a, v| cells.push((a, v.clone())));
-        }
-        // Deterministic order for byte-stable snapshots.
-        cells.sort_by_key(|(a, _)| (a.row, a.col));
-        put_u64(buf, cells.len() as u64);
-        for (a, v) in cells {
-            put_u32(buf, a.row);
-            put_u32(buf, a.col);
-            encode_value(buf, &v);
+            let _ = self.cells.visit_ordered(bounds, &mut |a, v| {
+                put_u32(buf, a.row);
+                put_u32(buf, a.col);
+                encode_value(buf, v);
+                ControlFlow::Continue(())
+            });
         }
         // Formula sources (BTreeMap iteration is already row-major).
         put_u64(buf, self.formulas.len() as u64);

@@ -235,14 +235,19 @@ impl Workbook {
     pub fn set_input(&mut self, sheet: SheetId, addr: CellAddr, input: &str) -> DsResult<Value> {
         self.edit(|wb| {
             wb.ensure_writable()?;
+            let formula = input.trim_start().starts_with('=');
             match wb.binding_index_at(sheet, addr) {
-                Some(_) if input.trim_start().starts_with('=') => Err(DsError::Interface(
+                Some(_) if formula => Err(DsError::Interface(
                     "a table-bound cell cannot hold a formula".into(),
                 )),
                 Some(bi) => wb
                     .bound_set_value(bi, sheet, addr, Value::from_input(input))
                     .map(drop),
-                None => wb.sheets[sheet.0].set_input(addr, input).map(drop),
+                // The fold below evaluates the formula, once.
+                None if formula => wb.sheets[sheet.0].store_formula(addr, input.trim()),
+                None => wb.sheets[sheet.0]
+                    .set_value(addr, Value::from_input(input))
+                    .map(drop),
             }
         })?;
         Ok(self.sheets[sheet.0].value(addr))

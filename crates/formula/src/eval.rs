@@ -8,6 +8,14 @@
 //! Numeric semantics keep the `Int`/`Float` split of [`Value`]: integer
 //! operands produce integer results when the mathematical result is integral
 //! and representable (`4/2 = 2`, `5/2 = 2.5`, overflow widens to float).
+//!
+//! Range arguments are read with one [`CellProvider::for_each_cell`] visit
+//! of the range's non-empty cells in row-major order, not one lookup per
+//! address. Row-major order fixes float summation order, which error
+//! poisons an aggregate first, and `VLOOKUP`'s first match.
+
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
 use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
 
@@ -20,6 +28,48 @@ pub trait CellProvider {
     /// the formula lives on. `Err` when the referenced sheet does not exist
     /// (surfaced as `#REF!`).
     fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError>;
+
+    /// Visit the non-empty cells of `range` in row-major order until `f`
+    /// breaks. `Err` when the referenced sheet does not exist.
+    ///
+    /// The default body reads every address through
+    /// [`CellProvider::cell_value`]. Store-backed providers override it
+    /// with the cell store's ordered scan; the default stays as the
+    /// reference they are tested against (and serves map-backed test
+    /// providers).
+    fn for_each_cell(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        for addr in range.iter_cells() {
+            let v = self.cell_value(sheet, addr)?;
+            if !v.is_empty() && f(addr, &v).is_break() {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Visit a range argument's non-empty cells in row-major order. The first
+/// error-valued cell ends the visit and is returned, as is an unknown sheet.
+fn scan(
+    cells: &dyn CellProvider,
+    sheet: &SheetRef,
+    range: Range,
+    mut f: impl FnMut(CellAddr, &Value) -> ControlFlow<()>,
+) -> Result<(), CellError> {
+    let mut poison = None;
+    cells.for_each_cell(sheet, range, &mut |a, v| match v.as_error() {
+        Some(e) => {
+            poison = Some(e);
+            ControlFlow::Break(())
+        }
+        None => f(a, v),
+    })?;
+    poison.map_or(Ok(()), Err)
 }
 
 /// The result of evaluating one argument expression: a scalar, or a range to
@@ -186,6 +236,9 @@ struct Acc {
     is_float: bool,
     min: Option<Value>,
     max: Option<Value>,
+    /// Track `min`/`max`: two comparisons per value, which only `MIN` and
+    /// `MAX` read.
+    extrema: bool,
 }
 
 impl Acc {
@@ -208,15 +261,18 @@ impl Acc {
                 self.float_sum += f;
             }
         }
+        if !self.extrema {
+            return;
+        }
         let replace_min = match &self.min {
-            Some(m) => v.compare(m) == Some(std::cmp::Ordering::Less),
+            Some(m) => v.compare(m) == Some(Ordering::Less),
             None => true,
         };
         if replace_min {
             self.min = Some(v.clone());
         }
         let replace_max = match &self.max {
-            Some(m) => v.compare(m) == Some(std::cmp::Ordering::Greater),
+            Some(m) => v.compare(m) == Some(Ordering::Greater),
             None => true,
         };
         if replace_max {
@@ -269,26 +325,26 @@ fn vlookup(args: &[Expr], cells: &dyn CellProvider) -> Value {
         None => true,
     };
     let result_col = range.start.col + (col - 1) as u32;
+    let keys = Range::from_bounds(
+        range.start.row,
+        range.start.col,
+        range.end.row,
+        range.start.col,
+    );
     let mut best: Option<u32> = None;
-    for row in range.start.row..=range.end.row {
-        let key = match cells.cell_value(&sheet, CellAddr::new(row, range.start.col)) {
-            Ok(v) => v,
-            Err(e) => return Value::Error(e),
-        };
-        if let Some(e) = key.as_error() {
-            return Value::Error(e);
+    let found = scan(cells, &sheet, keys, |a, key| match key.compare(&needle) {
+        Some(Ordering::Equal) => {
+            best = Some(a.row);
+            ControlFlow::Break(())
         }
-        if key.is_empty() {
-            continue;
+        Some(Ordering::Less) if approximate => {
+            best = Some(a.row);
+            ControlFlow::Continue(())
         }
-        match key.compare(&needle) {
-            Some(std::cmp::Ordering::Equal) => {
-                best = Some(row);
-                break;
-            }
-            Some(std::cmp::Ordering::Less) if approximate => best = Some(row),
-            _ => {}
-        }
+        _ => ControlFlow::Continue(()),
+    });
+    if let Err(e) = found {
+        return Value::Error(e);
     }
     match best {
         Some(row) => match cells.cell_value(&sheet, CellAddr::new(row, result_col)) {
@@ -321,21 +377,12 @@ fn concat(args: &[Expr], cells: &dyn CellProvider) -> Value {
             },
         };
         if let Some((sheet, range)) = as_cells {
-            for addr in range.iter_cells() {
-                let v = match cells.cell_value(&sheet, addr) {
-                    Ok(v) => v,
-                    Err(e) => return Value::Error(e),
-                };
-                if let Some(e) = v.as_error() {
-                    return Value::Error(e);
-                }
-                if v.is_empty() {
-                    continue;
-                }
-                match v.coerce_text() {
-                    Ok(t) => out.push_str(&t),
-                    Err(e) => return Value::Error(e),
-                }
+            let joined = scan(cells, &sheet, range, |_, v| {
+                out.push_str(&v.display_string());
+                ControlFlow::Continue(())
+            });
+            if let Err(e) = joined {
+                return Value::Error(e);
             }
         }
     }
@@ -373,7 +420,10 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
     // literal/computed arguments participate with numeric coercion
     // (`=SUM(A1,"5",TRUE)` adds 6 on top of A1). Any error poisons the
     // whole aggregate.
-    let mut acc = Acc::default();
+    let mut acc = Acc {
+        extrema: matches!(f, Func::Min | Func::Max),
+        ..Acc::default()
+    };
     for arg in args {
         // A single-cell reference behaves exactly like a 1×1 range.
         let as_cells = match arg {
@@ -399,17 +449,14 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
             },
         };
         if let Some((sheet, range)) = as_cells {
-            for addr in range.iter_cells() {
-                let v = match cells.cell_value(&sheet, addr) {
-                    Ok(v) => v,
-                    Err(e) => return Value::Error(e),
-                };
-                if let Some(e) = v.as_error() {
-                    return Value::Error(e);
-                }
+            let folded = scan(cells, &sheet, range, |_, v| {
                 if v.is_numeric() {
-                    acc.push(&v);
+                    acc.push(v);
                 }
+                ControlFlow::Continue(())
+            });
+            if let Err(e) = folded {
+                return Value::Error(e);
             }
         }
     }

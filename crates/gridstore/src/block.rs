@@ -10,11 +10,12 @@
 //! fetch only opens blocks whose bounds intersect the window.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_types::{CellAddr, Range};
 
 use crate::rtree::{RTree, Rect};
-use crate::{shift_addr_cols, shift_addr_rows, CellStore, StoreStats};
+use crate::{shift_addr_cols, shift_addr_rows, visit_sorted, CellStore, StoreStats};
 
 /// Tuning for the proximity grouping.
 #[derive(Clone, Copy, Debug)]
@@ -271,6 +272,23 @@ impl<T> CellStore<T> for BlockGrid<T> {
                 }
             }
         }
+    }
+
+    fn visit_ordered(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let hits = self.rtree.search(Rect::from_range(range));
+        self.stats.add_read(hits.len() as u64);
+        let mut cells = Vec::new();
+        for id in hits {
+            let b = self.block(id);
+            self.stats.add_scanned(b.cells.len() as u64);
+            let inside = b.cells.iter().filter(|(a, _)| range.contains(**a));
+            cells.extend(inside.map(|(a, v)| (*a, v)));
+        }
+        visit_sorted(cells, f)
     }
 
     fn used_bounds(&self) -> Option<Range> {

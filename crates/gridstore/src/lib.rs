@@ -30,6 +30,7 @@ pub use naive::NaiveGrid;
 pub use rtree::{RTree, Rect};
 pub use tiled::{TileConfig, TiledGrid};
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dataspread_types::{CellAddr, Range};
@@ -75,9 +76,17 @@ impl StoreStats {
 /// A sparse two-dimensional cell store.
 ///
 /// Contract notes:
-/// * `for_each_in_range` visits cells in an *unspecified order* (each store
-///   uses its natural block order); [`CellStore::cells_in_range`] sorts
-///   row-major.
+/// * Two range visits. [`CellStore::for_each_in_range`] visits cells in an
+///   *unspecified order* (each store uses its natural block order).
+///   [`CellStore::visit_ordered`] visits them *row-major* and may stop
+///   early; it is what formula ranges and bound-region diffs read through,
+///   where order decides float summation and which error wins.
+/// * Only [`TiledGrid`] produces row-major order without sorting: it walks
+///   the range one 32-row tile band at a time. [`BlockGrid`] and
+///   [`NaiveGrid`] collect the matching cells and sort them.
+/// * Both visits count the same [`StoreStats`] for the same range: every
+///   block opened is one read, and every cell slot (or stored cell)
+///   inspected is one scanned cell, whether or not the visit stops early.
 /// * Structural row/column edits shift cell contents like a spreadsheet
 ///   insert/delete does; cells inside a deleted band are dropped.
 pub trait CellStore<T> {
@@ -95,6 +104,14 @@ pub trait CellStore<T> {
 
     /// Visit every non-empty cell within `range` (unordered).
     fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &T));
+
+    /// Visit every non-empty cell within `range` in row-major order,
+    /// stopping as soon as `f` breaks (the break is returned).
+    fn visit_ordered(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
 
     /// Tight bounding box of all non-empty cells.
     fn used_bounds(&self) -> Option<Range>;
@@ -119,27 +136,28 @@ pub trait CellStore<T> {
     fn block_count(&self) -> usize;
 
     /// All cells in `range`, sorted row-major. Convenience over
-    /// [`CellStore::for_each_in_range`].
+    /// [`CellStore::visit_ordered`].
     fn cells_in_range(&self, range: Range) -> Vec<(CellAddr, T)>
     where
         T: Clone,
     {
         let mut out = Vec::new();
-        self.for_each_in_range(range, &mut |a, v| out.push((a, v.clone())));
-        out.sort_by_key(|(a, _)| *a);
+        let _ = self.visit_ordered(range, &mut |a, v| {
+            out.push((a, v.clone()));
+            ControlFlow::Continue(())
+        });
         out
     }
+}
 
-    /// Remove every cell in `range`, returning how many were removed.
-    fn clear_range(&mut self, range: Range) -> usize {
-        let mut addrs = Vec::new();
-        self.for_each_in_range(range, &mut |a, _| addrs.push(a));
-        let n = addrs.len();
-        for a in addrs {
-            self.remove(a);
-        }
-        n
-    }
+/// Ordered visit for the stores without a row-major layout: sort the
+/// matching cells, then visit them until `f` breaks.
+pub(crate) fn visit_sorted<T>(
+    mut hits: Vec<(CellAddr, &T)>,
+    f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    hits.sort_unstable_by_key(|(a, _)| *a);
+    hits.into_iter().try_for_each(|(a, v)| f(a, v))
 }
 
 /// Shift helper shared by the rebuild-style structural edits: maps an address

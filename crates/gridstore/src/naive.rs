@@ -6,10 +6,11 @@
 //! `C5` quantifies the gap versus [`crate::TiledGrid`]/[`crate::BlockGrid`].
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_types::{CellAddr, Range};
 
-use crate::{shift_addr_cols, shift_addr_rows, CellStore, StoreStats};
+use crate::{shift_addr_cols, shift_addr_rows, visit_sorted, CellStore, StoreStats};
 
 /// Per-cell hash map store.
 #[derive(Debug, Default)]
@@ -68,6 +69,17 @@ impl<T> CellStore<T> for NaiveGrid<T> {
                 f(*a, v);
             }
         }
+    }
+
+    fn visit_ordered(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.stats.add_read(self.cells.len() as u64);
+        self.stats.add_scanned(self.cells.len() as u64);
+        let hits = self.cells.iter().filter(|(a, _)| range.contains(**a));
+        visit_sorted(hits.map(|(a, v)| (*a, v)).collect(), f)
     }
 
     fn used_bounds(&self) -> Option<Range> {

@@ -6,8 +6,16 @@
 //! lives elsewhere on the sheet. Tile extent is a measured trade-off
 //! (ablation #2 in DESIGN.md): small tiles waste less space on sparse sheets,
 //! large tiles scan faster on dense ones.
+//!
+//! Range reads walk the range one *band* (a row of tiles) at a time, so the
+//! visit comes out row-major with no sort: one hash probe per tile slot of
+//! the band, then the band's rows left to right across its tiles. A range
+//! that spans more tile slots than the grid has allocated (`A1:XFD1048576`)
+//! walks the allocated tiles instead, so a scan costs
+//! O(min(range tiles, allocated tiles)) probes.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_types::{CellAddr, Range};
 
@@ -140,6 +148,54 @@ impl<T> TiledGrid<T> {
         }
     }
 
+    /// Visit one band's cells inside `range`, row-major. `band` holds the
+    /// band's allocated tiles that overlap the range, by ascending tile
+    /// column. Counts one block read per tile and every slot inside the
+    /// range as scanned, once for the band.
+    fn visit_band(
+        &self,
+        tile_row: u32,
+        band: &[(u32, &Tile<T>)],
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if band.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let (th, tw) = (self.cfg.tile_rows, self.cfg.tile_cols);
+        let base_row = tile_row * th;
+        let r_lo = range.start.row.max(base_row);
+        let r_hi = range.end.row.min(base_row + (th - 1));
+        // First column of the tile and the slot offsets inside the range.
+        let cols = |tile_col: u32| {
+            let base = tile_col * tw;
+            let lo = range.start.col.max(base) - base;
+            (base, lo, range.end.col.min(base + (tw - 1)) - base)
+        };
+        let width: u64 = band
+            .iter()
+            .map(|&(tc, _)| {
+                let (_, lo, hi) = cols(tc);
+                u64::from(hi - lo + 1)
+            })
+            .sum();
+        self.stats.add_read(band.len() as u64);
+        self.stats.add_scanned(u64::from(r_hi - r_lo + 1) * width);
+        for r in r_lo..=r_hi {
+            let row_slot = ((r - base_row) * tw) as usize;
+            for &(tc, tile) in band {
+                let (base, lo, hi) = cols(tc);
+                let slots = &tile.slots[row_slot + lo as usize..=row_slot + hi as usize];
+                for (c, slot) in (base + lo..).zip(slots) {
+                    if let Some(v) = slot {
+                        f(CellAddr::new(r, c), v)?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
     fn set_internal(&mut self, addr: CellAddr, value: T) -> Option<T> {
         let coord = self.tile_coord(addr);
         let idx = self.slot_index(addr);
@@ -187,33 +243,44 @@ impl<T> CellStore<T> for TiledGrid<T> {
     }
 
     fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &T)) {
+        let _ = self.visit_ordered(range, &mut |a, v| {
+            f(a, v);
+            ControlFlow::Continue(())
+        });
+    }
+
+    fn visit_ordered(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let (tr0, tc0) = self.tile_coord(range.start);
         let (tr1, tc1) = self.tile_coord(range.end);
-        for tr in tr0..=tr1 {
-            for tc in tc0..=tc1 {
-                let Some(tile) = self.tiles.get(&(tr, tc)) else {
-                    continue;
-                };
-                self.stats.add_read(1);
-                let base_row = tr * self.cfg.tile_rows;
-                let base_col = tc * self.cfg.tile_cols;
-                // Visit only the slots inside the intersection of the tile
-                // and the requested range.
-                let r_lo = range.start.row.max(base_row) - base_row;
-                let r_hi = range.end.row.min(base_row + self.cfg.tile_rows - 1) - base_row;
-                let c_lo = range.start.col.max(base_col) - base_col;
-                let c_hi = range.end.col.min(base_col + self.cfg.tile_cols - 1) - base_col;
-                for r in r_lo..=r_hi {
-                    for c in c_lo..=c_hi {
-                        self.stats.add_scanned(1);
-                        let idx = (r * self.cfg.tile_cols + c) as usize;
-                        if let Some(v) = &tile.slots[idx] {
-                            f(CellAddr::new(base_row + r, base_col + c), v);
-                        }
-                    }
-                }
+        let mut band: Vec<(u32, &Tile<T>)> = Vec::new();
+        let slots = u64::from(tr1 - tr0 + 1) * u64::from(tc1 - tc0 + 1);
+        if slots <= self.tiles.len() as u64 {
+            for tr in tr0..=tr1 {
+                band.clear();
+                band.extend((tc0..=tc1).filter_map(|tc| Some((tc, self.tiles.get(&(tr, tc))?))));
+                self.visit_band(tr, &band, range, f)?;
             }
+            return ControlFlow::Continue(());
         }
+        // More tile slots than allocated tiles: walk the allocated tiles
+        // inside the range, sorted into bands.
+        let mut hits: Vec<((u32, u32), &Tile<T>)> = self
+            .tiles
+            .iter()
+            .filter(|((tr, tc), _)| (tr0..=tr1).contains(tr) && (tc0..=tc1).contains(tc))
+            .map(|(coord, tile)| (*coord, tile))
+            .collect();
+        hits.sort_unstable_by_key(|(coord, _)| *coord);
+        for run in hits.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            band.clear();
+            band.extend(run.iter().map(|&((_, tc), tile)| (tc, tile)));
+            self.visit_band(run[0].0 .0, &band, range, f)?;
+        }
+        ControlFlow::Continue(())
     }
 
     fn used_bounds(&self) -> Option<Range> {
@@ -327,6 +394,99 @@ mod tests {
         sorted.sort();
         assert_eq!(addrs, sorted);
         assert_eq!(addrs[0], CellAddr::new(0, 9));
+    }
+
+    #[test]
+    fn range_scan_stats_are_pinned() {
+        // 4×4 tiles over rows/cols 0..12; tile (1,1) (rows 4..7, cols 4..7)
+        // stays unallocated.
+        let mut g = small();
+        for r in 0..12u32 {
+            for c in 0..12u32 {
+                if (r / 4, c / 4) != (1, 1) && (r + c) % 3 == 0 {
+                    g.set(CellAddr::new(r, c), (r * 100 + c) as i64);
+                }
+            }
+        }
+        // B2:H9 overlaps tile rows 0..=2 and tile cols 0..=1: five allocated
+        // tiles, 8×7 slots minus the 4×4 hole.
+        let q = Range::from_bounds(1, 1, 8, 7);
+        g.stats().reset();
+        g.for_each_in_range(q, &mut |_, _| {});
+        assert_eq!(
+            (g.stats().blocks_read(), g.stats().cells_scanned()),
+            (5, 40)
+        );
+        g.stats().reset();
+        let got = g.cells_in_range(q);
+        assert_eq!(
+            (g.stats().blocks_read(), g.stats().cells_scanned()),
+            (5, 40)
+        );
+        let want: Vec<(CellAddr, i64)> = q
+            .iter_cells()
+            .filter_map(|a| Some((a, *g.get(a)?)))
+            .collect();
+        assert_eq!(got, want, "row-major, exactly the stored cells");
+    }
+
+    #[test]
+    fn ordered_visit_stops_early() {
+        let mut g = small();
+        for c in 0..10u32 {
+            g.set(CellAddr::new(c % 3, c), c as i64);
+        }
+        let mut seen = Vec::new();
+        let flow = g.visit_ordered(Range::from_bounds(0, 0, 9, 9), &mut |a, v| {
+            seen.push((a, *v));
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, ControlFlow::Break(()));
+        let cols: Vec<u32> = seen.iter().map(|(a, _)| a.col).collect();
+        assert_eq!(cols, vec![0, 3, 6], "row 0 first, left to right");
+    }
+
+    #[test]
+    fn sheet_sized_range_walks_allocated_tiles() {
+        let mut g = small();
+        g.set(CellAddr::new(1000, 3), 1);
+        g.set(CellAddr::new(5, 2000), 2);
+        g.set(CellAddr::new(0, 9), 3);
+        g.set(CellAddr::new(7, 1), 4);
+        g.stats().reset();
+        let all = Range::from_bounds(
+            0,
+            0,
+            dataspread_types::addr::MAX_ROW,
+            dataspread_types::addr::MAX_COL,
+        );
+        let got = g.cells_in_range(all);
+        let addrs: Vec<CellAddr> = got.iter().map(|(a, _)| *a).collect();
+        assert_eq!(
+            addrs,
+            vec![
+                CellAddr::new(0, 9),
+                CellAddr::new(5, 2000),
+                CellAddr::new(7, 1),
+                CellAddr::new(1000, 3),
+            ]
+        );
+        assert_eq!(g.stats().blocks_read(), 4, "one read per allocated tile");
+        assert_eq!(g.stats().cells_scanned(), 4 * 16);
+        // Rows 4.. only, still sheet-wide: the row-0 tile is filtered out.
+        g.stats().reset();
+        let lower = Range::from_bounds(
+            4,
+            0,
+            dataspread_types::addr::MAX_ROW,
+            dataspread_types::addr::MAX_COL,
+        );
+        assert_eq!(g.cells_in_range(lower).len(), 3);
+        assert_eq!(g.stats().blocks_read(), 3);
     }
 
     #[test]

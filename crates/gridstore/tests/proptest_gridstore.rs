@@ -6,10 +6,12 @@
 //! external property-testing crate — see substitution #4 in `DESIGN.md`.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_gridstore::block::BlockConfig;
 use dataspread_gridstore::{BlockGrid, CellStore, NaiveGrid, TileConfig, TiledGrid};
 use dataspread_testkit::{cases, Rng};
+use dataspread_types::addr::{MAX_COL, MAX_ROW};
 use dataspread_types::{CellAddr, Range};
 
 #[derive(Clone, Debug)]
@@ -20,7 +22,19 @@ enum Op {
     DeleteRows(u32, u32),
     InsertCols(u32, u32),
     DeleteCols(u32, u32),
+    /// Range query; corners past the 64×64 edit area reach to the sheet's
+    /// last row or column, so the tiled store's allocated-tile walk runs.
     QueryRange(u32, u32, u32, u32),
+}
+
+/// A query corner coordinate: mostly inside the edit area, sometimes the
+/// sheet's last row/column.
+fn arb_corner(rng: &mut Rng, last: u32) -> u32 {
+    if rng.below(5) == 0 {
+        last
+    } else {
+        rng.u32_in(0, 64)
+    }
 }
 
 fn arb_ops(rng: &mut Rng) -> Vec<Op> {
@@ -36,8 +50,8 @@ fn arb_ops(rng: &mut Rng) -> Vec<Op> {
             _ => Op::QueryRange(
                 rng.u32_in(0, 64),
                 rng.u32_in(0, 64),
-                rng.u32_in(0, 64),
-                rng.u32_in(0, 64),
+                arb_corner(rng, MAX_ROW),
+                arb_corner(rng, MAX_COL),
             ),
         })
         .collect()
@@ -133,6 +147,24 @@ fn run_store<S: CellStore<i64>>(mut store: S, ops: &[Op]) {
                     .collect();
                 expect.sort_by_key(|(a, _)| *a);
                 assert_eq!(got, expect, "range query {q} mismatch");
+                // The unordered visit yields the same cells.
+                let mut unordered = Vec::new();
+                store.for_each_in_range(q, &mut |a, v| unordered.push((a, *v)));
+                unordered.sort_by_key(|(a, _)| *a);
+                assert_eq!(unordered, expect, "unordered query {q} mismatch");
+                // The ordered visit stops where it is told to: a prefix of
+                // the row-major answer.
+                let stop = expect.len() / 2;
+                let mut prefix = Vec::new();
+                let flow = store.visit_ordered(q, &mut |a, v| {
+                    if prefix.len() == stop {
+                        return ControlFlow::Break(());
+                    }
+                    prefix.push((a, *v));
+                    ControlFlow::Continue(())
+                });
+                assert_eq!(prefix, expect[..stop], "early stop on {q}");
+                assert_eq!(flow.is_break(), stop < expect.len(), "flow on {q}");
             }
         }
         assert_eq!(
